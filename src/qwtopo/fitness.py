@@ -67,9 +67,13 @@ def fitness(
 
 
 def batch_kld(models: np.ndarray, target_flat: np.ndarray) -> np.ndarray:
-    """KLD of each row of an (m, K*n) model array against one target."""
+    """KLD of each row of an (m, K*n) model array against one target.
+
+    The termwise sum can round slightly below zero when a model matches
+    the target; such rows score 0.0, and positive sums are unchanged.
+    """
     clamped = np.maximum(target_flat, TARGET_CLAMP)
-    return rel_entr(models, clamped[None, :]).sum(axis=1)
+    return np.maximum(rel_entr(models, clamped[None, :]).sum(axis=1), 0.0)
 
 
 def batch_kolmogorov(models: np.ndarray, target_flat: np.ndarray) -> np.ndarray:

@@ -254,8 +254,9 @@ def run_ga(
     """Search for the coupling string whose walk statistics match the target.
 
     Per generation: score everyone, halt if the generation's best beats
-    the configured threshold (checked first) or is exactly zero within
-    ZERO_TOL, otherwise clone the hall of fame and breed the rest.
+    the configured threshold (checked first) or is zero, that is below
+    ZERO_TOL (scores are never negative), otherwise clone the hall of
+    fame and breed the rest.
     Returns the best individual ever seen.  ``evaluations`` counts
     distinct genomes scored; repeats are served from a memo and cost
     nothing.
@@ -293,7 +294,7 @@ def run_ga(
             best_bits = bits[leader].copy()
         if config.threshold is not None and current < config.threshold:
             return _result(best_bits, n, best_score, gen, HaltReason.THRESHOLD, evaluations)
-        if abs(current) < ZERO_TOL:
+        if current < ZERO_TOL:
             return _result(best_bits, n, best_score, gen, HaltReason.ZERO_FITNESS, evaluations)
         if gen == config.n_g - 1:
             break

@@ -185,6 +185,26 @@ def test_benchmark_repeat_is_byte_identical(capsys, tmp_path: Path) -> None:
     assert report.entries[0].topology == "line"
 
 
+def test_indistinguishable_networks_halt_at_zero_not_below(capsys, tmp_path: Path) -> None:
+    # The uniform state is stationary on every 2-regular network, so
+    # any other 5-cycle matches the target; its divergence used to round
+    # to about -3e-15, below the one-sided zero test, and every run
+    # spent its whole generation budget.
+    out_file = tmp_path / "circle.json"
+    code, _, _ = run_cli(
+        capsys,
+        "benchmark", "--topology", "circle", "--n", "5", "--times", "0.5,0.6",
+        "--probe", "uniform", "--runs", "10", "--seed", "0",
+        "--format", "json", "--output", str(out_file),
+    )
+    assert code == 0
+    runs = json.loads(out_file.read_text())["results"][0]["runs"]
+    assert len(runs) == 10
+    assert all(r["score"] >= 0 for r in runs)
+    assert all(r["halted_by"] == "ZeroFitness" for r in runs)
+    assert not any(r["success"] for r in runs)
+
+
 def test_benchmark_unwritable_output_exits_two(capsys) -> None:
     code, _, err = run_cli(
         capsys,

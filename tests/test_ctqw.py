@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qwtopo import ctqw
 from qwtopo.ctqw import (
     ConcatenatedDistribution,
     ProbeState,
@@ -285,3 +288,118 @@ def test_batch_matches_scalar_pipeline() -> None:
     for row, slab in zip(bits, batch):
         direct = concatenated_distribution(CouplingString(row, 5), psi0, TimeGrid(times))
         assert np.array_equal(slab.reshape(-1), direct.flat)
+
+
+def ramp_batch(bits: np.ndarray, n: int, times: tuple[float, ...] = (0.5, 0.6)) -> np.ndarray:
+    return batch_site_distributions(bits, n, ProbeState.ramp(n).amplitudes, times)
+
+
+def force_split(monkeypatch, workers: int, min_rows: int) -> None:
+    """Split batches of 2 * min_rows rows and more over `workers` threads, on any host."""
+    monkeypatch.setattr(ctqw, "_pool", None)
+    monkeypatch.setattr(ctqw, "_split_workers", lambda: workers)
+    monkeypatch.setattr(ctqw, "_SPLIT_MIN_ROWS", min_rows)
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_rows_are_bitwise_independent_of_their_batch(n: int, monkeypatch) -> None:
+    # The zero-fitness halt needs the truth to score exactly 0 wherever
+    # it lands in a generation, so a row's distribution may depend on
+    # nothing but its genome.
+    rng = np.random.default_rng(100 + n)
+    n_c = n * (n - 1) // 2
+    bits = rng.integers(0, 2, size=(37, n_c), dtype=np.uint8)
+    alone = np.stack([ramp_batch(row[None, :], n)[0] for row in bits]).view(np.uint64)
+
+    order = rng.permutation(len(bits))
+    padded = np.concatenate([rng.integers(0, 2, size=(5, n_c), dtype=np.uint8), bits])
+    assert np.array_equal(ramp_batch(bits, n).view(np.uint64), alone)
+    assert np.array_equal(ramp_batch(bits[order], n).view(np.uint64), alone[order])
+    assert np.array_equal(ramp_batch(padded, n)[5:].view(np.uint64), alone)
+    assert np.array_equal(ramp_batch(bits[:2], n).view(np.uint64), alone[:2])
+
+    for workers, min_rows in ((1, 1), (3, 4), (3, 7)):
+        force_split(monkeypatch, workers, min_rows)
+        assert np.array_equal(ramp_batch(bits, n).view(np.uint64), alone)
+        assert np.array_equal(ramp_batch(padded, n)[5:].view(np.uint64), alone)
+    assert ctqw._pool is not None
+
+
+def test_split_path_matches_serial_on_a_generation_sized_batch(monkeypatch) -> None:
+    rng = np.random.default_rng(19)
+    bits = rng.integers(0, 2, size=(4050, 45), dtype=np.uint8)
+    monkeypatch.setattr(ctqw, "_split_workers", lambda: 0)
+    serial = ramp_batch(bits, 10, (0.5, 0.6, 1.0))
+    force_split(monkeypatch, 1, ctqw._SPLIT_MIN_ROWS)
+    split = ramp_batch(bits, 10, (0.5, 0.6, 1.0))
+    assert np.array_equal(split.view(np.uint64), serial.view(np.uint64))
+
+
+def _send_batch(conn, bits: np.ndarray) -> None:
+    conn.send(ramp_batch(bits, 8).tobytes())
+    conn.close()
+
+
+def test_split_survives_fork(monkeypatch) -> None:
+    # A pool inherited across fork has no live threads in the child; a
+    # split there must start its own pool instead of waiting forever.
+    bits = np.random.default_rng(20).integers(0, 2, size=(1000, 28), dtype=np.uint8)
+    force_split(monkeypatch, 1, ctqw._SPLIT_MIN_ROWS)
+    parent = ramp_batch(bits, 8)
+    assert ctqw._pool is not None
+
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_send_batch, args=(sender, bits))
+    child.start()
+    sender.close()
+    try:
+        assert receiver.poll(60), "split batch in a forked child did not finish within 60 s"
+        assert receiver.recv() == parent.tobytes()
+    finally:
+        child.join(5)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+
+
+def record_hamiltonian_stack(monkeypatch) -> list[tuple[threading.Thread, np.ndarray]]:
+    calls: list[tuple[threading.Thread, np.ndarray]] = []
+    build = ctqw.hamiltonian_stack
+
+    def recording(bits_matrix: np.ndarray, n: int) -> np.ndarray:
+        calls.append((threading.current_thread(), np.array(bits_matrix)))
+        return build(bits_matrix, n)
+
+    monkeypatch.setattr(ctqw, "hamiltonian_stack", recording)
+    return calls
+
+
+def test_split_builds_hamiltonians_once_on_the_calling_thread(monkeypatch) -> None:
+    # The benchmark's tracer wraps hamiltonian_stack and keeps a single
+    # span stack, so worker threads must not call it.
+    bits = np.random.default_rng(21).integers(0, 2, size=(1000, 28), dtype=np.uint8)
+    force_split(monkeypatch, 3, ctqw._SPLIT_MIN_ROWS)
+    calls = record_hamiltonian_stack(monkeypatch)
+    ramp_batch(bits, 8)
+    assert ctqw._pool is not None
+    assert len(calls) == 1
+    thread, rows = calls[0]
+    assert thread is threading.current_thread()
+    assert np.array_equal(rows, bits)
+
+
+def test_small_batches_start_no_thread(monkeypatch) -> None:
+    monkeypatch.setattr(ctqw, "_pool", None)
+    monkeypatch.setattr(ctqw, "_split_workers", lambda: 3)
+    # Pools dropped by earlier tests may still be winding down, so
+    # compare the threads themselves rather than their count.
+    before = set(threading.enumerate())
+    rng = np.random.default_rng(22)
+    for rows in (1, 7, 2 * ctqw._SPLIT_MIN_ROWS - 1):
+        ramp_batch(rng.integers(0, 2, size=(rows, 10), dtype=np.uint8), 5)
+    cs = build_topology(TopologySpec(TopologyKind.STAR), 10)
+    concatenated_distribution(cs, ProbeState.ramp(10), TimeGrid((0.5, 0.6)))
+    assert set(threading.enumerate()) <= before
+    assert ctqw._pool is None

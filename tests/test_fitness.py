@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import rel_entr
 
 from qwtopo.ctqw import ConcatenatedDistribution, ProbeState, TimeGrid, concatenated_distribution
 from qwtopo.errors import ShapeError
-from qwtopo.fitness import TARGET_CLAMP, Metric, fitness, kld, kolmogorov
+from qwtopo.fitness import TARGET_CLAMP, Metric, batch_kld, fitness, kld, kolmogorov
 from qwtopo.graph import CouplingString, TopologyKind, TopologySpec, build_topology
 
 
@@ -78,6 +79,21 @@ def test_kld_non_negative_and_zero_iff_equal(seed: int) -> None:
     assert kld(a, a) == 0.0
     if not np.array_equal(a.flat, b.flat):
         assert forward > 0.0
+
+
+def test_batch_kld_clamps_negative_sums_and_keeps_positive_ones() -> None:
+    rng = np.random.default_rng(3)
+    target = rng.random(8) + 1e-3
+    target /= target.sum()
+    models = rng.random((50, 8)) + 1e-3
+    models /= models.sum(axis=1, keepdims=True)
+    # a sub-normalized row sums below zero; it must not rank above a match
+    models[0] = 0.9 * target
+    raw = rel_entr(models, target[None, :]).sum(axis=1)
+    scores = batch_kld(models, target)
+    assert raw[0] < 0.0 and scores[0] == 0.0
+    assert (raw[1:] > 0).all()
+    assert np.array_equal(scores[1:].view(np.uint64), raw[1:].view(np.uint64))
 
 
 def test_kolmogorov_examples() -> None:
