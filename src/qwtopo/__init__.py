@@ -14,19 +14,9 @@ from .ctqw import (
     site_distribution,
     spectral_propagator,
 )
-from .errors import ConfigError, ShapeError, StateError, TopologyError
+from .errors import ConfigError, ShapeError, TopologyError
 from .fitness import Metric, fitness, kld, kolmogorov
-from .ga import (
-    GAConfig,
-    HaltReason,
-    Individual,
-    RunResult,
-    crossover,
-    init_population,
-    mutate,
-    run_ga,
-    tournament,
-)
+from .ga import GAConfig, HaltReason, RunResult, run_ga
 from .graph import (
     CouplingString,
     TopologyKind,
@@ -70,7 +60,6 @@ __all__ = [
     "spectral_propagator",
     "ConfigError",
     "ShapeError",
-    "StateError",
     "TopologyError",
     "Metric",
     "fitness",
@@ -78,13 +67,8 @@ __all__ = [
     "kolmogorov",
     "GAConfig",
     "HaltReason",
-    "Individual",
     "RunResult",
-    "crossover",
-    "init_population",
-    "mutate",
     "run_ga",
-    "tournament",
     "CouplingString",
     "TopologyKind",
     "TopologySpec",

@@ -158,8 +158,12 @@ def _times_from(args, cfg: dict) -> TimeGrid:
     return TimeGrid(tuple(float(t) for t in times))
 
 
-def _probe_from(args, cfg: dict) -> str:
-    return _pick(args.probe, cfg.get("experiment", {}), "probe", "ramp")
+def _probe_from(args, cfg: dict, recorded: str | None = None) -> str:
+    """Flag, then config file, then the probe a target file records, then ramp."""
+    probe = _pick(args.probe, cfg.get("experiment", {}), "probe", recorded or "ramp")
+    if recorded is not None and probe != recorded:
+        raise ConfigError(f"probe {probe} conflicts with --target, which records probe {recorded}")
+    return probe
 
 
 def _topology_from(args, cfg: dict):
@@ -201,21 +205,21 @@ def _cmd_simulate(args) -> int:
         dist = sample_noisy_distribution(dist, int(nr), np.random.default_rng(seed))
     print(json.dumps([float(p) for p in dist.flat]))
     if args.output:
-        write_target(args.output, dist, grid)
+        write_target(args.output, dist, grid, probe)
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
     cfg = _load_config_file(args.config)
     ga = _ga_from(args, cfg)
-    probe = _probe_from(args, cfg)
     target_path = _pick(args.target, cfg.get("experiment", {}), "target", None)
     if target_path and (args.topology or args.n):
         raise ConfigError("give either --target or --topology/--n, not both")
     if target_path:
         if args.times:
             raise ConfigError("--times conflicts with --target; the file fixes the times")
-        grid, target = load_target(target_path)
+        grid, target, recorded = load_target(target_path)
+        probe = _probe_from(args, cfg, recorded)
         n = target.n
     else:
         spec = _topology_from(args, cfg)
@@ -224,6 +228,7 @@ def _cmd_reconstruct(args) -> int:
             raise ConfigError(f"reconstruct takes a single node count, got {values}")
         n = values[0]
         grid = _times_from(args, cfg)
+        probe = _probe_from(args, cfg)
         target = concatenated_distribution(build_topology(spec, n), make_probe(probe, n), grid)
     psi0 = make_probe(probe, n)
     result = run_ga(target, psi0, grid, ga)

@@ -12,7 +12,3 @@ class ShapeError(ValueError):
 
 class ConfigError(ValueError):
     """Inconsistent or out-of-range configuration values."""
-
-
-class StateError(RuntimeError):
-    """Operation invoked on an object in the wrong state."""

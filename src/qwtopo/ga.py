@@ -15,20 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctqw import ConcatenatedDistribution, ProbeState, TimeGrid, batch_site_distributions
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ConfigError, ShapeError
 from .fitness import Metric, batch_kld, batch_kolmogorov
 from .graph import CouplingString
 
 __all__ = [
     "ZERO_TOL",
     "HaltReason",
-    "Individual",
     "GAConfig",
     "RunResult",
-    "init_population",
-    "tournament",
-    "crossover",
-    "mutate",
     "run_ga",
 ]
 
@@ -40,12 +35,6 @@ class HaltReason(enum.Enum):
     ZERO_FITNESS = "ZeroFitness"
     THRESHOLD = "Threshold"
     MAX_GENERATIONS = "MaxGenerations"
-
-
-@dataclass
-class Individual:
-    chromosome: CouplingString
-    score: float | None = None
 
 
 @dataclass(frozen=True)
@@ -106,68 +95,6 @@ class RunResult:
     generations_used: int
     halted_by: HaltReason
     evaluations: int
-
-
-def _nodes_for_genome(n_c: int) -> int:
-    n = round((1 + np.sqrt(1 + 8 * n_c)) / 2)
-    if n * (n - 1) // 2 != n_c:
-        raise ConfigError(f"genome length {n_c} is not n(n-1)/2 for any integer n")
-    return n
-
-
-def init_population(n_p: int, n_c: int, rng: np.random.Generator) -> list[Individual]:
-    """n_p individuals with genes drawn uniformly from {0, 1}, unscored."""
-    if n_p < 2:
-        raise ConfigError(f"population size must be >= 2, got {n_p}")
-    if n_c < 1:
-        raise ConfigError(f"genome length must be >= 1, got {n_c}")
-    n = _nodes_for_genome(n_c)
-    bits = rng.integers(0, 2, size=(n_p, n_c), dtype=np.uint8)
-    return [Individual(CouplingString(row, n)) for row in bits]
-
-
-def tournament(pop: list[Individual], k: int, rng: np.random.Generator) -> Individual:
-    """Draw k individuals uniformly with replacement; return the fittest.
-
-    Ties go to the earliest draw.
-    """
-    if k < 1:
-        raise ConfigError(f"tournament size must be >= 1, got {k}")
-    if any(ind.score is None for ind in pop):
-        raise StateError("tournament requires every individual to be scored")
-    draws = rng.integers(0, len(pop), size=k)
-    scores = np.array([pop[i].score for i in draws])
-    return pop[draws[int(np.argmin(scores))]]
-
-
-def crossover(
-    parent1: CouplingString,
-    parent2: CouplingString,
-    p_c: float,
-    rng: np.random.Generator,
-) -> tuple[CouplingString, CouplingString]:
-    """Single-point crossover with probability p_c, else exact copies.
-
-    The split point y is uniform over {0, ..., n_c - 2}; child 1 takes
-    genes [0..y] from parent 1 and the rest from parent 2, child 2 the
-    converse.  Genomes of length 1 have no valid split and pass through
-    as copies.
-    """
-    if parent1.n != parent2.n:
-        raise ShapeError(f"parents encode different sizes: n={parent1.n} vs n={parent2.n}")
-    n_c = parent1.n_c
-    if rng.random() < p_c and n_c >= 2:
-        y = int(rng.integers(0, n_c - 1))
-        c1 = np.concatenate([parent1.bits[: y + 1], parent2.bits[y + 1 :]])
-        c2 = np.concatenate([parent2.bits[: y + 1], parent1.bits[y + 1 :]])
-        return CouplingString(c1, parent1.n), CouplingString(c2, parent1.n)
-    return CouplingString(parent1.bits, parent1.n), CouplingString(parent2.bits, parent2.n)
-
-
-def mutate(child: CouplingString, p_m: float, rng: np.random.Generator) -> CouplingString:
-    """Flip each gene independently with probability p_m."""
-    flips = rng.random(child.n_c) < p_m
-    return CouplingString(child.bits ^ flips.astype(np.uint8), child.n)
 
 
 def _breed(

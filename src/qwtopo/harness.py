@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -145,17 +145,7 @@ class SweepReport:
 
 
 def _ga_echo(ga: GAConfig) -> dict:
-    return {
-        "n_p": ga.n_p,
-        "p_e": ga.p_e,
-        "k": ga.k,
-        "p_c": ga.p_c,
-        "p_m": ga.p_m,
-        "n_g": ga.n_g,
-        "threshold": ga.threshold,
-        "seed": ga.seed,
-        "metric": ga.metric.value,
-    }
+    return {**asdict(ga), "metric": ga.metric.value}
 
 
 def benchmark_noiseless(spec: ExperimentSpec) -> BenchmarkReport:
@@ -377,15 +367,19 @@ def report_from_json(text: str) -> BenchmarkReport | SweepReport:
 
 
 def write_target(
-    path: str | Path, dist: ConcatenatedDistribution, grid: TimeGrid
+    path: str | Path, dist: ConcatenatedDistribution, grid: TimeGrid, probe: str
 ) -> Path:
-    """Save a target distribution as JSON {n, times, slices}."""
+    """Save a target distribution as JSON {n, times, probe, slices}.
+
+    ``probe`` is the label of the initial state the walk started from.
+    """
     if len(grid) != dist.k:
         raise ConfigError(f"grid has {len(grid)} times but the distribution has {dist.k} slices")
     target = resolve_output_path(path)
     obj = {
         "n": dist.n,
         "times": list(grid.times),
+        "probe": probe,
         "slices": [list(map(float, s.probs)) for s in dist.slices],
     }
     try:
@@ -396,8 +390,12 @@ def write_target(
     return target
 
 
-def load_target(path: str | Path) -> tuple[TimeGrid, ConcatenatedDistribution]:
-    """Load a JSON target file written by :func:`write_target`."""
+def load_target(path: str | Path) -> tuple[TimeGrid, ConcatenatedDistribution, str | None]:
+    """Load a JSON target file written by :func:`write_target`.
+
+    Returns the grid, the distribution and the probe label, which is
+    None for files written before targets recorded their probe.
+    """
     try:
         obj = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -410,9 +408,12 @@ def load_target(path: str | Path) -> tuple[TimeGrid, ConcatenatedDistribution]:
         slices = np.asarray(obj["slices"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"target file {path} is malformed: {exc}") from None
+    probe = obj.get("probe")
+    if probe is not None and not isinstance(probe, str):
+        raise ConfigError(f"target file {path}: probe must be a label, got {probe!r}")
     if slices.ndim != 2 or slices.shape != (len(grid), n):
         raise ConfigError(
             f"target file {path}: slices shape {slices.shape} does not match "
             f"{len(grid)} times and n={n}"
         )
-    return grid, ConcatenatedDistribution.from_matrix(slices)
+    return grid, ConcatenatedDistribution.from_matrix(slices), probe

@@ -73,8 +73,9 @@ def test_simulate_writes_target_file(capsys, tmp_path: Path) -> None:
         capsys, "simulate", "--topology", "line", "--n", "4", "--output", str(out_file)
     )
     assert code == 0
-    grid, dist = load_target(out_file)
+    grid, dist, probe = load_target(out_file)
     assert grid == TimeGrid((0.5, 0.6))
+    assert probe == "ramp"
     assert np.array_equal(dist.flat, np.array(json.loads(out)))
 
 
@@ -119,7 +120,14 @@ def test_reconstruct_from_file_matches_library(capsys, tmp_path: Path) -> None:
     assert code == 0
     cli_result = json.loads(out)
 
-    grid, target = load_target(target_file)
+    # a file written before targets recorded their probe reconstructs the same way
+    obj = json.loads(target_file.read_text())
+    del obj["probe"]
+    target_file.write_text(json.dumps(obj))
+    assert run_cli(capsys, "reconstruct", "--target", str(target_file), "--seed", "7")[1] == out
+
+    grid, target, probe = load_target(target_file)
+    assert probe is None
     result = run_ga(target, ProbeState.ramp(5), grid, GAConfig(seed=7))
     assert cli_result["chromosome"] == result.best_chromosome.to_bitstring()
     assert cli_result["score"] == result.best_score
@@ -146,6 +154,33 @@ def test_reconstruct_target_conflicts(capsys, tmp_path: Path) -> None:
         capsys, "reconstruct", "--target", str(target_file), "--times", "0.5"
     )
     assert code == 1 and "conflicts" in err
+    code, _, err = run_cli(
+        capsys, "reconstruct", "--target", str(target_file), "--probe", "site:0"
+    )
+    assert code == 1 and "conflicts" in err and "ramp" in err
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"experiment": {"probe": "uniform"}}))
+    code, _, err = run_cli(
+        capsys, "reconstruct", "--target", str(target_file), "--config", str(config)
+    )
+    assert code == 1 and "conflicts" in err
+    code, _, _ = run_cli(
+        capsys, "reconstruct", "--target", str(target_file), "--probe", "ramp"
+    )
+    assert code == 0
+
+
+def test_reconstruct_uses_the_probe_the_target_records(capsys, tmp_path: Path) -> None:
+    target_file = tmp_path / "t.json"
+    run_cli(
+        capsys, "simulate", "--topology", "star", "--n", "5", "--probe", "site:0",
+        "--output", str(target_file),
+    )
+    code, out, _ = run_cli(capsys, "reconstruct", "--target", str(target_file), "--seed", "3")
+    assert code == 0
+    result = json.loads(out)
+    assert result["chromosome"] == build_topology(TopologySpec(TopologyKind.STAR), 5).to_bitstring()
+    assert result["halted_by"] == "ZeroFitness"
 
 
 def test_reconstruct_missing_target_file(capsys, tmp_path: Path) -> None:

@@ -5,28 +5,10 @@ import numpy as np
 import pytest
 
 from qwtopo.ctqw import ProbeState, TimeGrid, concatenated_distribution
-from qwtopo.errors import ConfigError, ShapeError, StateError
+from qwtopo.errors import ConfigError, ShapeError
 from qwtopo.fitness import Metric, fitness
-from qwtopo.ga import (
-    GAConfig,
-    HaltReason,
-    Individual,
-    crossover,
-    init_population,
-    mutate,
-    run_ga,
-    tournament,
-)
-from qwtopo.graph import CouplingString, TopologyKind, TopologySpec, build_topology
-
-
-def make_pop(bit_rows, scores=None) -> list[Individual]:
-    n = 3
-    pop = [Individual(CouplingString(np.array(row), n)) for row in bit_rows]
-    if scores is not None:
-        for ind, s in zip(pop, scores):
-            ind.score = s
-    return pop
+from qwtopo.ga import GAConfig, HaltReason, _breed, run_ga
+from qwtopo.graph import TopologyKind, TopologySpec, build_topology
 
 
 @pytest.mark.parametrize(
@@ -65,170 +47,125 @@ def test_elite_count_parity() -> None:
     assert GAConfig(p_e=0.0).elite_count(6) == 0
 
 
-def test_init_population_shape_and_determinism() -> None:
-    pop = init_population(4, 3, np.random.default_rng(0))
-    assert len(pop) == 4
-    assert all(ind.chromosome.n_c == 3 for ind in pop)
-    assert all(ind.score is None for ind in pop)
-    again = init_population(4, 3, np.random.default_rng(0))
-    assert [i.chromosome for i in pop] == [i.chromosome for i in again]
+def breed(bits, scores, n_children: int, seed: int, **cfg) -> np.ndarray:
+    bits = np.asarray(bits, dtype=np.uint8)
+    rng = np.random.default_rng(seed)
+    return _breed(bits, np.asarray(scores, dtype=float), n_children, GAConfig(**cfg), rng)
 
 
-def test_init_population_gene_mean() -> None:
-    n_p, n_c = 2000, 10
-    pop = init_population(n_p, n_c, np.random.default_rng(1))
-    mean = np.mean([ind.chromosome.bits for ind in pop])
-    sigma = 0.5 / np.sqrt(n_p * n_c)
-    assert abs(mean - 0.5) < 3 * sigma
-
-
-def test_init_population_validation() -> None:
-    rng = np.random.default_rng(0)
-    with pytest.raises(ConfigError):
-        init_population(1, 3, rng)
-    with pytest.raises(ConfigError):
-        init_population(4, 0, rng)
-    with pytest.raises(ConfigError):
-        init_population(4, 4, rng)  # no integer n has n(n-1)/2 = 4
-
-
-def test_tournament_requires_scores() -> None:
-    pop = make_pop([[1, 0, 0], [0, 1, 0]])
-    with pytest.raises(StateError):
-        tournament(pop, 2, np.random.default_rng(0))
-
-
-def test_tournament_k1_returns_single_draw() -> None:
-    pop = make_pop([[1, 0, 0], [0, 1, 0], [0, 0, 1]], scores=[3.0, 1.0, 2.0])
-    rng = np.random.default_rng(7)
-    picked = tournament(pop, 1, rng)
-    expected = pop[np.random.default_rng(7).integers(0, 3, size=1)[0]]
-    assert picked is expected
-
-
-def test_tournament_selects_minimum_score() -> None:
-    pop = make_pop([[1, 0, 0], [0, 1, 0], [0, 0, 1]], scores=[3.0, 1.0, 2.0])
-    # k large enough that every individual is drawn with near certainty
-    winner = tournament(pop, 64, np.random.default_rng(3))
-    assert winner is pop[1]
+def distinct_genomes(n_p: int, n_c: int) -> np.ndarray:
+    """Row i holds the n_c low bits of i."""
+    return ((np.arange(n_p)[:, None] >> np.arange(n_c)) & 1).astype(np.uint8)
 
 
 def test_tournament_tie_goes_to_earliest_draw() -> None:
-    pop = make_pop([[1, 0, 0], [0, 1, 0], [0, 0, 1]], scores=[1.0, 1.0, 1.0])
-    seed = 11
-    draws = np.random.default_rng(seed).integers(0, 3, size=5)
-    winner = tournament(pop, 5, np.random.default_rng(seed))
-    assert winner is pop[draws[0]]
+    bits, k, pairs = distinct_genomes(16, 6), 5, 50
+    draws = np.random.default_rng(11).integers(0, 16, size=(pairs, 2, k))
+    children = breed(bits, np.ones(16), 2 * pairs, 11, k=k, p_c=0.0, p_m=0.0)
+    assert np.array_equal(children.reshape(pairs, 2, 6), bits[draws[..., 0]])
+
+
+def test_tournament_k1_returns_single_draw() -> None:
+    bits = distinct_genomes(16, 6)
+    scores = np.random.default_rng(5).permutation(16).astype(float)
+    draws = np.random.default_rng(7).integers(0, 16, size=(50, 2, 1))
+    children = breed(bits, scores, 100, 7, k=1, p_c=0.0, p_m=0.0)
+    assert np.array_equal(children.reshape(50, 2, 6), bits[draws[..., 0]])
+
+
+def test_tournament_selects_minimum_score() -> None:
+    bits = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    # k large enough that every individual is drawn with near certainty
+    children = breed(bits, [3.0, 1.0, 2.0], 40, 3, k=64, p_c=0.0, p_m=0.0)
+    assert np.array_equal(children, np.tile(bits[1], (40, 1)))
 
 
 def test_tournament_pressure_grows_with_k() -> None:
-    n_p = 20
-    scores = list(np.random.default_rng(5).permutation(n_p).astype(float))
-    pop = make_pop([[1, 0, 0]] * n_p, scores=scores)
-    best = pop[int(np.argmin(scores))]
-    rng = np.random.default_rng(6)
-    trials = 10_000
-    hits6 = sum(tournament(pop, 6, rng) is best for _ in range(trials))
-    hits2 = sum(tournament(pop, 2, rng) is best for _ in range(trials))
-    assert hits6 > hits2
-    # theory: 1-(1-1/20)^6 = 26.5% vs 1-(1-1/20)^2 = 9.8%
-    assert hits6 / trials > 0.2
-    assert hits2 / trials < 0.15
-
-
-def test_tournament_rejects_bad_k() -> None:
-    pop = make_pop([[1, 0, 0], [0, 1, 0]], scores=[1.0, 2.0])
-    with pytest.raises(ConfigError):
-        tournament(pop, 0, np.random.default_rng(0))
+    n_p, n_children = 20, 20_000
+    bits = distinct_genomes(n_p, 6)
+    scores = np.random.default_rng(5).permutation(n_p).astype(float)
+    rates = []
+    for k in (1, 2, 6):
+        children = breed(bits, scores, n_children, 6, k=k, p_c=0.0, p_m=0.0)
+        rate = np.all(children == bits[np.argmin(scores)], axis=1).mean()
+        # a child copies the best genome iff the best is among its k draws
+        expected = 1 - (1 - 1 / n_p) ** k
+        assert abs(rate - expected) < 3 * np.sqrt(expected * (1 - expected) / n_children)
+        rates.append(rate)
+    assert rates == sorted(rates)
 
 
 def test_crossover_probability_zero_copies_parents() -> None:
-    a = CouplingString(np.array([1, 1, 1, 1, 1, 1]), 4)
-    b = CouplingString(np.array([0, 0, 0, 0, 0, 0]), 4)
-    c1, c2 = crossover(a, b, 0.0, np.random.default_rng(0))
-    assert c1 == a and c2 == b
-
-
-def test_crossover_identical_parents() -> None:
-    a = CouplingString(np.array([1, 0, 1, 0, 1, 0]), 4)
-    for seed in range(5):
-        c1, c2 = crossover(a, a, 1.0, np.random.default_rng(seed))
-        assert c1 == a and c2 == a
+    bits = distinct_genomes(16, 6)
+    scores = np.random.default_rng(5).permutation(16).astype(float)
+    for k in (1, 6):
+        draws = np.random.default_rng(3).integers(0, 16, size=(50, 2, k))
+        winners = [[min(d, key=lambda i: scores[i]) for d in pair] for pair in draws]
+        children = breed(bits, scores, 100, 3, k=k, p_c=0.0, p_m=0.0)
+        assert np.array_equal(children.reshape(50, 2, 6), bits[np.array(winners)])
 
 
 def test_crossover_splits_cover_definition() -> None:
-    a = CouplingString(np.array([1, 1, 1, 1, 1, 1]), 4)
-    b = CouplingString(np.array([0, 0, 0, 0, 0, 0]), 4)
+    n_c = 6
+    bits = np.array([[1] * n_c, [0] * n_c])
+    children = breed(bits, [0.0, 0.0], 400, 0, k=1, p_c=1.0, p_m=0.0)
     seen = set()
-    for seed in range(200):
-        c1, c2 = crossover(a, b, 1.0, np.random.default_rng(seed))
-        ones = int(c1.bits.sum())
-        # child 1 = a[0..y] + b[y+1..], so it is 1^(y+1) 0^(5-y)
-        y = ones - 1
-        assert 0 <= y <= 4
-        assert np.array_equal(c1.bits[: y + 1], a.bits[: y + 1])
-        assert np.array_equal(c1.bits[y + 1 :], b.bits[y + 1 :])
-        assert np.array_equal(c2.bits, 1 - c1.bits)
+    for c1, c2 in zip(children[0::2], children[1::2]):
+        if np.array_equal(c1, c2):
+            continue  # both parents drew the same genome
+        # child 1 = parent 1 genes [0..y] + parent 2 genes [y+1..], child 2 the converse
+        y = int(np.argmax(c1 != c1[0])) - 1
+        assert 0 <= y <= n_c - 2
+        assert np.array_equal(c1, np.r_[np.full(y + 1, c1[0]), np.full(n_c - 1 - y, 1 - c1[0])])
+        assert np.array_equal(c2, 1 - c1)
         seen.add(y)
-    assert seen == {0, 1, 2, 3, 4}
+    assert seen == set(range(n_c - 1))
 
 
 def test_crossover_example_split() -> None:
-    a = CouplingString(np.array([1, 1, 1, 1, 1, 1]), 4)
-    b = CouplingString(np.array([0, 0, 0, 0, 0, 0]), 4)
-    for seed in range(200):
-        c1, c2 = crossover(a, b, 1.0, np.random.default_rng(seed))
-        if int(c1.bits.sum()) == 2:
-            assert c1.to_bitstring() == "110000"
-            assert c2.to_bitstring() == "001111"
-            return
-    pytest.fail("split point y=1 never drawn in 200 seeds")
+    bits = np.array([[1] * 6, [0] * 6])
+    children = breed(bits, [0.0, 0.0], 400, 0, k=1, p_c=1.0, p_m=0.0)
+    found = False
+    for c1, c2 in zip(children[0::2], children[1::2]):
+        if c1[0] == 1 and c1.sum() == 2:
+            # parent 1 = 111111, parent 2 = 000000, split point y = 1
+            assert "".join(map(str, c1)) == "110000"
+            assert "".join(map(str, c2)) == "001111"
+            found = True
+    assert found, "split point y=1 never drawn in 200 pairs"
+
+
+def test_crossover_identical_parents() -> None:
+    genome = np.array([1, 0, 1, 0, 1, 0])
+    children = breed(np.tile(genome, (4, 1)), np.arange(4.0), 40, 0, p_c=1.0, p_m=0.0)
+    assert np.array_equal(children, np.tile(genome, (40, 1)))
 
 
 def test_crossover_length_one_genome_passes_through() -> None:
-    a = CouplingString(np.array([1]), 2)
-    b = CouplingString(np.array([0]), 2)
-    c1, c2 = crossover(a, b, 1.0, np.random.default_rng(0))
-    assert c1 == a and c2 == b
-
-
-def test_crossover_rejects_mismatched_parents() -> None:
-    a = CouplingString(np.array([1, 0, 0]), 3)
-    b = CouplingString(np.array([1, 0, 0, 0, 0, 0]), 4)
-    with pytest.raises(ShapeError):
-        crossover(a, b, 0.5, np.random.default_rng(0))
+    bits = np.array([[1], [0]])
+    draws = np.random.default_rng(0).integers(0, 2, size=(10, 2, 1))
+    children = breed(bits, [0.0, 0.0], 20, 0, k=1, p_c=1.0, p_m=0.0)
+    assert np.array_equal(children.reshape(10, 2, 1), bits[draws[..., 0]])
 
 
 def test_mutate_probability_zero_and_one() -> None:
-    a = CouplingString(np.array([1, 0, 1, 0, 1, 0]), 4)
-    rng = np.random.default_rng(0)
-    assert mutate(a, 0.0, rng) == a
-    assert mutate(a, 1.0, rng).to_bitstring() == "010101"
+    bits, scores = distinct_genomes(8, 6), np.arange(8.0)
+    kept = breed(bits, scores, 20, 1, p_m=0.0)
+    assert np.array_equal(breed(bits, scores, 20, 1, p_m=1.0), 1 - kept)
 
 
 def test_mutate_mean_flip_count() -> None:
-    n = 10  # n_c = 45
-    a = CouplingString(np.zeros(45, dtype=np.uint8), n)
-    rng = np.random.default_rng(2)
-    trials = 10_000
-    flips = [int(mutate(a, 0.05, rng).bits.sum()) for _ in range(trials)]
-    mean = np.mean(flips)
-    sigma_mean = np.sqrt(45 * 0.05 * 0.95 / trials)
-    assert abs(mean - 2.25) < 3 * sigma_mean
+    p_m = 0.05
+    children = breed(np.zeros((4, 45)), np.arange(4.0), 2000, 2, p_m=p_m)
+    sigma = np.sqrt(p_m * (1 - p_m) / children.size)
+    assert abs(children.mean() - p_m) < 3 * sigma
 
 
 def test_selection_only_breeding_introduces_no_new_genomes() -> None:
     rng = np.random.default_rng(9)
-    pop = init_population(12, 6, rng)
-    for ind in pop:
-        ind.score = float(rng.random())
-    genomes = {ind.chromosome for ind in pop}
-    for _ in range(20):
-        p1 = tournament(pop, 3, rng)
-        p2 = tournament(pop, 3, rng)
-        c1, c2 = crossover(p1.chromosome, p2.chromosome, 0.0, rng)
-        assert mutate(c1, 0.0, rng) in genomes
-        assert mutate(c2, 0.0, rng) in genomes
+    bits = rng.integers(0, 2, size=(12, 6), dtype=np.uint8)
+    children = breed(bits, rng.random(12), 40, 9, k=3, p_c=0.0, p_m=0.0)
+    assert {c.tobytes() for c in children} <= {b.tobytes() for b in bits}
 
 
 def star_problem(n: int):

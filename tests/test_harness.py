@@ -230,10 +230,18 @@ def test_target_file_round_trip(tmp_path: Path) -> None:
     truth = build_topology(TopologySpec(TopologyKind.CIRCLE), 5)
     grid = TimeGrid((0.5, 0.6, 0.9))
     dist = concatenated_distribution(truth, ProbeState.ramp(5), grid)
-    path = write_target(tmp_path / "target.json", dist, grid)
-    grid2, dist2 = load_target(path)
+    path = write_target(tmp_path / "target.json", dist, grid, "ramp")
+    grid2, dist2, probe = load_target(path)
     assert grid2 == grid
     assert np.array_equal(dist2.flat, dist.flat)
+    assert probe == "ramp"
+    # files written before targets recorded their probe still load
+    obj = json.loads(path.read_text())
+    del obj["probe"]
+    path.write_text(json.dumps(obj))
+    grid3, dist3, probe = load_target(path)
+    assert grid3 == grid and np.array_equal(dist3.flat, dist.flat)
+    assert probe is None
 
 
 def test_write_target_grid_mismatch(tmp_path: Path) -> None:
@@ -241,7 +249,7 @@ def test_write_target_grid_mismatch(tmp_path: Path) -> None:
     grid = TimeGrid((0.5, 0.6))
     dist = concatenated_distribution(truth, ProbeState.ramp(4), grid)
     with pytest.raises(ConfigError):
-        write_target(tmp_path / "t.json", dist, TimeGrid((0.5,)))
+        write_target(tmp_path / "t.json", dist, TimeGrid((0.5,)), "ramp")
 
 
 def test_load_target_malformed(tmp_path: Path) -> None:
@@ -253,6 +261,9 @@ def test_load_target_malformed(tmp_path: Path) -> None:
     with pytest.raises(ConfigError):
         load_target(bad)
     bad.write_text(json.dumps({"n": 3, "times": [0.5], "slices": [[0.5, 0.5]]}))
+    with pytest.raises(ConfigError):
+        load_target(bad)
+    bad.write_text(json.dumps({"n": 2, "times": [0.5], "slices": [[0.5, 0.5]], "probe": 0}))
     with pytest.raises(ConfigError):
         load_target(bad)
     with pytest.raises(OSError):
