@@ -49,16 +49,22 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--times", help="comma-separated evolution times, default 0.5,0.6")
 
 
+_GA_DEFAULT = GAConfig()
+
+
 def _add_ga(parser: argparse.ArgumentParser) -> None:
+    d = _GA_DEFAULT
     parser.add_argument("--np", type=int, help="population size (default 2*n_c^2)")
-    parser.add_argument("--pe", type=float, help="elitist fraction, default 0.02")
-    parser.add_argument("--k", type=int, help="tournament size, default 6")
-    parser.add_argument("--pc", type=float, help="crossover probability, default 0.85")
-    parser.add_argument("--pm", type=float, help="per-gene mutation probability, default 0.05")
-    parser.add_argument("--ng", type=int, help="max generations, default 100")
+    parser.add_argument("--pe", type=float, help=f"elitist fraction, default {d.p_e}")
+    parser.add_argument("--k", type=int, help=f"tournament size, default {d.k}")
+    parser.add_argument("--pc", type=float, help=f"crossover probability, default {d.p_c}")
+    parser.add_argument("--pm", type=float, help=f"per-gene mutation probability, default {d.p_m}")
+    parser.add_argument("--ng", type=int, help=f"max generations, default {d.n_g}")
     parser.add_argument("--threshold", type=float, help="halt threshold T (off by default)")
-    parser.add_argument("--seed", type=int, help="master RNG seed, default 0")
-    parser.add_argument("--metric", choices=["kld", "kolmogorov"], help="fitness metric, default kld")
+    parser.add_argument("--seed", type=int, help=f"master RNG seed, default {d.seed}")
+    parser.add_argument(
+        "--metric", choices=["kld", "kolmogorov"], help=f"fitness metric, default {d.metric.value}"
+    )
 
 
 def build_parser() -> _Parser:
@@ -131,21 +137,23 @@ def _pick(cli_value, file_section: dict, key: str, default):
 
 
 def _ga_from(args, cfg: dict) -> GAConfig:
+    """Flag, then the config file's "ga" section, then GAConfig's default."""
     ga = cfg.get("ga", {})
-    metric = _pick(getattr(args, "metric", None), ga, "metric", "kld")
+    d = _GA_DEFAULT
+    metric = _pick(getattr(args, "metric", None), ga, "metric", d.metric.value)
     try:
         metric = Metric(metric)
     except ValueError:
         raise ConfigError(f"unknown metric {metric!r}; expected kld or kolmogorov") from None
     return GAConfig(
-        n_p=_pick(args.np, ga, "n_p", None),
-        p_e=_pick(args.pe, ga, "p_e", 0.02),
-        k=_pick(args.k, ga, "k", 6),
-        p_c=_pick(args.pc, ga, "p_c", 0.85),
-        p_m=_pick(args.pm, ga, "p_m", 0.05),
-        n_g=_pick(args.ng, ga, "n_g", 100),
-        threshold=_pick(args.threshold, ga, "threshold", None),
-        seed=_pick(args.seed, ga, "seed", 0),
+        n_p=_pick(args.np, ga, "n_p", d.n_p),
+        p_e=_pick(args.pe, ga, "p_e", d.p_e),
+        k=_pick(args.k, ga, "k", d.k),
+        p_c=_pick(args.pc, ga, "p_c", d.p_c),
+        p_m=_pick(args.pm, ga, "p_m", d.p_m),
+        n_g=_pick(args.ng, ga, "n_g", d.n_g),
+        threshold=_pick(args.threshold, ga, "threshold", d.threshold),
+        seed=_pick(args.seed, ga, "seed", d.seed),
         metric=metric,
     )
 

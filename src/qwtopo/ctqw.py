@@ -263,7 +263,9 @@ def batch_site_distributions(
     process's CPUs, the first chunk on the calling thread.
     """
     h = hamiltonian_stack(bits_matrix, n)
-    n_chunks = min(_split_workers() + 1, len(h) // _SPLIT_MIN_ROWS)
+    n_chunks = len(h) // _SPLIT_MIN_ROWS
+    if n_chunks >= 2:
+        n_chunks = min(n_chunks, _split_workers() + 1)
     if n_chunks < 2:
         return _propagate(h, amplitudes, times)
     first, *rest = np.array_split(h, n_chunks)

@@ -113,25 +113,19 @@ def _breed(
     """
     n_p, n_c = bits.shape
     n_pairs = n_children // 2
-    draws = rng.integers(0, n_p, size=(n_pairs, 2, cfg.k))
-    best = np.argmin(scores[draws], axis=-1)
-    winners = np.take_along_axis(draws, best[..., None], axis=-1)[..., 0]
-    a = bits[winners[:, 0]]
-    b = bits[winners[:, 1]]
+    draws = rng.integers(0, n_p, size=(2 * n_pairs, cfg.k))
+    winners = draws[np.arange(2 * n_pairs), np.argmin(scores[draws], axis=1)]
+    parents = bits[winners].reshape(n_pairs, 2, n_c)
     gates = rng.random(n_pairs) < cfg.p_c
-    c1 = a.copy()
-    c2 = b.copy()
     n_cross = int(gates.sum())
     if n_cross and n_c >= 2:
-        splits = rng.integers(0, n_c - 1, size=n_cross)
-        tail = np.arange(n_c)[None, :] > splits[:, None]
-        c1[gates] = np.where(tail, b[gates], a[gates])
-        c2[gates] = np.where(tail, a[gates], b[gates])
-    children = np.empty((n_children, n_c), dtype=np.uint8)
-    children[0::2] = c1
-    children[1::2] = c2
-    flips = rng.random(size=children.shape) < cfg.p_m
-    children ^= flips.astype(np.uint8)
+        # A pair that does not cross keeps split n_c - 1: an empty tail.
+        splits = np.full(n_pairs, n_c - 1)
+        splits[gates] = rng.integers(0, n_c - 1, size=n_cross)
+        tail = np.arange(n_c) > splits[:, None]
+        parents = np.where(tail[:, None, :], parents[:, ::-1], parents)
+    children = parents.reshape(2 * n_pairs, n_c)
+    children ^= rng.random(size=children.shape) < cfg.p_m
     return children
 
 
@@ -144,32 +138,31 @@ def _evaluate(
     target_flat: np.ndarray,
     metric: Metric,
 ) -> tuple[np.ndarray, int]:
-    """Score every row, memoizing by genome; returns (scores, new evals)."""
-    n_rows, n_c = bits.shape
-    scores = np.empty(n_rows)
-    pending: dict[bytes, list[int]] = {}
-    for i in range(n_rows):
-        key = bits[i].tobytes()
-        hit = cache.get(key)
-        if hit is None:
-            pending.setdefault(key, []).append(i)
-        else:
-            scores[i] = hit
-    if pending:
-        keys = list(pending)
-        fresh = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), n_c)
-        models = batch_site_distributions(fresh, n, amplitudes, times)
-        flat = models.reshape(len(keys), -1)
-        if metric is Metric.KLD:
-            values = batch_kld(flat, target_flat)
-        else:
-            values = batch_kolmogorov(flat, target_flat)
-        for key, value in zip(keys, values):
-            val = float(value)
-            cache[key] = val
-            for i in pending[key]:
-                scores[i] = val
-    return scores, len(pending)
+    """Score every row, memoizing by genome; returns (scores, new evals).
+
+    Each row's bytes are its memo key, taken for the whole population
+    in one view.  The distinct genomes missing from the memo are scored
+    in one batch, in order of first appearance.
+    """
+    n_c = bits.shape[1]
+    keys = np.ascontiguousarray(bits, dtype=np.uint8).view(f"V{n_c}").ravel().tolist()
+    # Scores are never negative, so -1.0 marks a row the memo misses.
+    scores = np.array([cache.get(key, -1.0) for key in keys])
+    missed = np.flatnonzero(scores < 0)
+    if not missed.size:
+        return scores, 0
+    missed_keys = [keys[i] for i in missed.tolist()]
+    new_keys = list(dict.fromkeys(missed_keys))
+    fresh = np.frombuffer(b"".join(new_keys), dtype=np.uint8).reshape(len(new_keys), n_c)
+    models = batch_site_distributions(fresh, n, amplitudes, times)
+    flat = models.reshape(len(new_keys), -1)
+    if metric is Metric.KLD:
+        values = batch_kld(flat, target_flat)
+    else:
+        values = batch_kolmogorov(flat, target_flat)
+    cache.update(zip(new_keys, values.tolist()))
+    scores[missed] = [cache[key] for key in missed_keys]
+    return scores, len(new_keys)
 
 
 def run_ga(
@@ -226,7 +219,7 @@ def run_ga(
         if gen == config.n_g - 1:
             break
         order = np.argsort(scores, kind="stable")[:e]
-        elites = bits[order].copy()
+        elites = bits[order]
         children = _breed(bits, scores, n_p - e, config, rng)
         bits = np.concatenate([elites, children], axis=0)
 

@@ -9,6 +9,7 @@ package.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,9 +41,14 @@ def coupling_index(x: int, y: int, n: int) -> int:
     return x * n - x * (x + 1) // 2 + y - x - 1
 
 
-def _edge_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the upper triangle, in genome order."""
-    return np.triu_indices(n, k=1)
+@functools.lru_cache(maxsize=64)
+def _scatter_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions in an n x n matrix of the upper and lower triangle, in genome order."""
+    rows, cols = np.triu_indices(n, k=1)
+    upper, lower = rows * n + cols, cols * n + rows
+    upper.setflags(write=False)
+    lower.setflags(write=False)
+    return upper, lower
 
 
 @dataclass(eq=False)
@@ -158,25 +164,20 @@ def build_topology(spec: TopologySpec, n: int) -> CouplingString:
 
 def to_hamiltonian(coupling: CouplingString) -> np.ndarray:
     """Symmetric n x n adjacency Hamiltonian with zero diagonal."""
-    n = coupling.n
-    h = np.zeros((n, n))
-    rows, cols = _edge_pairs(n)
-    h[rows, cols] = coupling.bits
-    h[cols, rows] = coupling.bits
-    return h
+    return hamiltonian_stack(coupling.bits[None, :], coupling.n)[0]
 
 
 def hamiltonian_stack(bits_matrix: np.ndarray, n: int) -> np.ndarray:
-    """Batch form of :func:`to_hamiltonian` for an (m, n_c) bit matrix."""
+    """(m, n, n) adjacency Hamiltonians of the rows of an (m, n_c) bit matrix."""
     bits_matrix = np.asarray(bits_matrix)
     m, n_c = bits_matrix.shape
     if n_c != n * (n - 1) // 2:
         raise TopologyError(f"expected {n * (n - 1) // 2} couplings for n={n}, got {n_c}")
-    h = np.zeros((m, n, n))
-    rows, cols = _edge_pairs(n)
-    h[:, rows, cols] = bits_matrix
-    h[:, cols, rows] = bits_matrix
-    return h
+    upper, lower = _scatter_index(n)
+    h = np.zeros((m, n * n))
+    h[:, upper] = bits_matrix
+    h[:, lower] = bits_matrix
+    return h.reshape(m, n, n)
 
 
 def load_edge_list(path: str | Path) -> tuple[tuple[int, int], ...]:

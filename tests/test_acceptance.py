@@ -30,6 +30,8 @@ from qwtopo.graph import CouplingString, TopologyKind, TopologySpec, build_topol
 from qwtopo.harness import ExperimentSpec, benchmark_noiseless
 from qwtopo.measurement import NoiseConfig, monte_carlo_sweep
 
+pytestmark = pytest.mark.slow
+
 TIMES_2 = TimeGrid((0.5, 0.6))
 TIMES_3 = TimeGrid((0.5, 0.6, 1.0))
 

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwtopo.cli import cli_main
+from qwtopo.cli import _ga_from, build_parser, cli_main
 from qwtopo.ctqw import ProbeState, TimeGrid, concatenated_distribution
+from qwtopo.fitness import Metric
 from qwtopo.ga import GAConfig, run_ga
 from qwtopo.graph import TopologyKind, TopologySpec, build_topology
 from qwtopo.harness import load_target, report_from_json
@@ -293,6 +294,24 @@ def test_cli_flag_overrides_config_file(capsys, tmp_path: Path) -> None:
     code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--n", "3")
     assert code == 0
     assert len(json.loads(out)) == 6  # flag n=3 wins over file n=4
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "benchmark", "sweep"])
+def test_ga_defaults_come_from_ga_config(command) -> None:
+    args = build_parser().parse_args([command])
+    assert _ga_from(args, {}) == GAConfig()
+
+
+def test_ga_flags_and_config_file_set_their_fields() -> None:
+    args = build_parser().parse_args(
+        ["benchmark", "--np", "8", "--pe", "0.1", "--pc", "0.5", "--pm", "0.2", "--ng", "7",
+         "--threshold", "0.01", "--seed", "9", "--metric", "kolmogorov"]
+    )
+    expected = GAConfig(
+        n_p=8, p_e=0.1, k=3, p_c=0.5, p_m=0.2, n_g=7, threshold=0.01, seed=9, metric=Metric.KOLMOGOROV
+    )
+    # the flag wins over the file's p_e; the file's k fills the unset --k
+    assert _ga_from(args, {"ga": {"k": 3, "p_e": 0.3}}) == expected
 
 
 def test_config_file_errors(capsys, tmp_path: Path) -> None:

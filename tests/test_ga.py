@@ -1,13 +1,16 @@
 """Genetic operators and the search loop."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from qwtopo.ctqw import ProbeState, TimeGrid, concatenated_distribution
+from qwtopo import ga
+from qwtopo.ctqw import ProbeState, TimeGrid, batch_site_distributions, concatenated_distribution
 from qwtopo.errors import ConfigError, ShapeError
-from qwtopo.fitness import Metric, fitness
-from qwtopo.ga import GAConfig, HaltReason, _breed, run_ga
+from qwtopo.fitness import Metric, batch_kld, batch_kolmogorov, fitness
+from qwtopo.ga import GAConfig, HaltReason, _breed, _evaluate, run_ga
 from qwtopo.graph import TopologyKind, TopologySpec, build_topology
 
 
@@ -168,6 +171,32 @@ def test_selection_only_breeding_introduces_no_new_genomes() -> None:
     assert {c.tobytes() for c in children} <= {b.tobytes() for b in bits}
 
 
+# _breed's output for a fixed input: the SHA-256 of the children's bytes
+# and the generator's next draw.  They were recorded from an earlier
+# vectorization of _breed (tournament winners gathered with
+# take_along_axis, each child built by boolean-mask gathers); matching
+# them shows the generator is consumed in the same order and the same
+# children come out.
+BREED_PINS = [
+    (10, 200, 196, {}, "863c4cd73b9132548f770bf3493d346c9fca9a958c4b5a502453d1ae4e2474ca",
+     "0x1.f0c801443058ep-1"),
+    (66, 120, 100, {"k": 3, "p_c": 0.5, "p_m": 0.1},
+     "c59e03cb3b0f9890c60f428b8037a5dd9449b6e00321ae08b2b5d31bb6d4706f", "0x1.2c1a9205f079ap-1"),
+]
+
+
+@pytest.mark.parametrize("n_c, n_p, n_children, cfg, digest, next_draw", BREED_PINS)
+def test_breed_random_stream_is_pinned(n_c, n_p, n_children, cfg, digest, next_draw) -> None:
+    source = np.random.default_rng(2024)
+    bits = source.integers(0, 2, size=(n_p, n_c), dtype=np.uint8)
+    scores = source.integers(0, 50, size=n_p) / 7.0  # many ties
+    rng = np.random.default_rng(99)
+    children = _breed(bits, scores, n_children, GAConfig(**cfg), rng)
+    assert children.dtype == np.uint8 and children.shape == (n_children, n_c)
+    assert hashlib.sha256(children.tobytes()).hexdigest() == digest
+    assert rng.random().hex() == next_draw
+
+
 def star_problem(n: int):
     truth = build_topology(TopologySpec(TopologyKind.STAR), n)
     psi0 = ProbeState.ramp(n)
@@ -281,3 +310,78 @@ def test_run_ga_minimal_population() -> None:
     _, psi0, grid, target = star_problem(3)
     result = run_ga(target, psi0, grid, GAConfig(seed=4, n_p=2, n_g=50))
     assert result.evaluations <= 2 * (result.generations_used + 1)
+
+
+def evaluate_star(bits, cache, n: int, metric: Metric = Metric.KLD):
+    _, psi0, grid, target = star_problem(n)
+    return _evaluate(bits, cache, n, psi0.amplitudes, grid.times, target.flat, metric)
+
+
+def record_propagation(monkeypatch) -> list[np.ndarray]:
+    """Rows of every batch _evaluate sends to propagation."""
+    calls = []
+    propagate = ga.batch_site_distributions
+
+    def recording(bits_matrix, *args):
+        calls.append(np.array(bits_matrix))
+        return propagate(bits_matrix, *args)
+
+    monkeypatch.setattr(ga, "batch_site_distributions", recording)
+    return calls
+
+
+def test_evaluate_propagates_each_distinct_genome_once(monkeypatch) -> None:
+    genomes = distinct_genomes(4, 10)
+    bits = genomes[[2, 0, 2, 3, 0, 0, 1, 3]]
+    calls = record_propagation(monkeypatch)
+    scores, fresh = evaluate_star(bits, {}, 5)
+    assert fresh == 4
+    assert len(calls) == 1
+    # in order of first appearance
+    assert np.array_equal(calls[0], genomes[[2, 0, 3, 1]])
+    for genome in range(4):
+        rows = np.flatnonzero(np.all(bits == genomes[genome], axis=1))
+        assert len(set(scores[rows].tolist())) == 1
+
+
+def test_evaluate_serves_repeats_from_the_memo(monkeypatch) -> None:
+    bits = np.random.default_rng(8).integers(0, 2, size=(50, 10), dtype=np.uint8)
+    cache: dict[bytes, float] = {}
+    first, fresh = evaluate_star(bits, cache, 5)
+    assert fresh == len(np.unique(bits, axis=0)) == len(cache)
+    calls = record_propagation(monkeypatch)
+    again, fresh = evaluate_star(bits[::-1], cache, 5)
+    assert fresh == 0 and calls == []
+    assert np.array_equal(again, first[::-1])
+    # a population mixing memo hits with one new genome propagates only that genome
+    new = 1 - bits[0]
+    assert new.tobytes() not in {row.tobytes() for row in bits}
+    scores, fresh = evaluate_star(np.vstack([bits[:3], new, bits[3:6]]), cache, 5)
+    assert fresh == 1
+    assert len(calls) == 1 and np.array_equal(calls[0], new[None, :])
+    assert np.array_equal(np.delete(scores, 3), first[:6])
+
+
+@pytest.mark.parametrize("metric, divergence", [(Metric.KLD, batch_kld), (Metric.KOLMOGOROV, batch_kolmogorov)])
+def test_evaluate_scores_equal_direct_divergence(metric, divergence) -> None:
+    n = 5
+    _, psi0, grid, target = star_problem(n)
+    bits = np.random.default_rng(4).integers(0, 2, size=(60, 10), dtype=np.uint8)
+    scores, _ = evaluate_star(bits, {}, n, metric)
+    models = batch_site_distributions(bits, n, psi0.amplitudes, grid.times)
+    assert np.array_equal(scores, divergence(models.reshape(len(bits), -1), target.flat))
+
+
+def test_evaluate_keys_every_gene_at_n12(monkeypatch) -> None:
+    n = 12
+    star = build_topology(TopologySpec(TopologyKind.STAR), n).bits[None, :]
+    other = star.copy()
+    other[0, 65] ^= 1  # the last gene: n_c = 66
+    bits = np.concatenate([star, other, star, other])
+    calls = record_propagation(monkeypatch)
+    cache: dict[bytes, float] = {}
+    scores, fresh = evaluate_star(bits, cache, n)
+    assert fresh == 2 and len(cache) == 2
+    assert np.array_equal(calls[0], np.concatenate([star, other]))
+    assert scores[0] == scores[2] == 0.0
+    assert scores[1] == scores[3] > 0.0
