@@ -42,7 +42,6 @@ from .harness import (
 from .measurement import (
     NoiseConfig,
     Outcome,
-    OutcomeTally,
     classify_outcome,
     monte_carlo_sweep,
     sample_noisy_distribution,
@@ -89,7 +88,6 @@ __all__ = [
     "write_target",
     "NoiseConfig",
     "Outcome",
-    "OutcomeTally",
     "classify_outcome",
     "monte_carlo_sweep",
     "sample_noisy_distribution",

@@ -29,7 +29,7 @@ from .harness import (
     write_target,
     load_target,
 )
-from .measurement import NoiseConfig, sample_noisy_distribution
+from .measurement import NoiseConfig, Outcome, sample_noisy_distribution
 
 __all__ = ["cli_main"]
 
@@ -50,6 +50,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 _GA_DEFAULT = GAConfig()
+_NOISE_DEFAULT = NoiseConfig()
 
 
 def _add_ga(parser: argparse.ArgumentParser) -> None:
@@ -76,7 +77,7 @@ def build_parser() -> _Parser:
     p.add_argument("--topology", help="star, complete, line, circle, or edgelist:<path>")
     p.add_argument("--n", help="node count")
     p.add_argument("--nr", type=int, help="sample the noisy estimate with N_r shots per slice")
-    p.add_argument("--seed", type=int, help="noise sampling seed, default 0")
+    p.add_argument("--seed", type=int, help=f"noise sampling seed, default {_NOISE_DEFAULT.seed}")
     p.add_argument("--output", help="also write a target JSON file here")
     p.set_defaults(func=_cmd_simulate)
 
@@ -93,7 +94,7 @@ def build_parser() -> _Parser:
     _add_ga(p)
     p.add_argument("--topology", help="topology family")
     p.add_argument("--n", help="node count or comma list, e.g. 5,6,7")
-    p.add_argument("--runs", type=int, help="runs per size, default 100")
+    p.add_argument("--runs", type=int, help=f"runs per size, default {ExperimentSpec.runs}")
     p.add_argument("--output", help="report file path")
     p.add_argument("--format", choices=["csv", "json"], help="report format, default csv")
     p.set_defaults(func=_cmd_benchmark)
@@ -103,9 +104,12 @@ def build_parser() -> _Parser:
     _add_ga(p)
     p.add_argument("--topology", help="topology family")
     p.add_argument("--n", help="node count")
-    p.add_argument("--nr", type=int, help="resources per time slice, default 500")
-    p.add_argument("--mc-runs", type=int, dest="mc_runs", help="Monte-Carlo samples, default 100")
-    p.add_argument("--inner-runs", type=int, dest="inner_runs", help="searches per sample, default 10")
+    d = _NOISE_DEFAULT
+    p.add_argument("--nr", type=int, help=f"resources per time slice, default {d.n_r}")
+    p.add_argument("--mc-runs", type=int, dest="mc_runs", help=f"Monte-Carlo samples, default {d.mc_runs}")
+    p.add_argument(
+        "--inner-runs", type=int, dest="inner_runs", help=f"searches per sample, default {d.inner_runs}"
+    )
     p.add_argument("--thresholds", help="comma list; default 12 log-spaced over [4e-4, 0.2]")
     p.add_argument("--output", help="report file path")
     p.add_argument("--format", choices=["csv", "json"], help="report format, default csv")
@@ -209,7 +213,7 @@ def _cmd_simulate(args) -> int:
     dist = concatenated_distribution(truth, psi0, grid)
     nr = _pick(args.nr, cfg.get("noise", {}), "n_r", None)
     if nr is not None:
-        seed = _pick(args.seed, cfg.get("noise", {}), "seed", 0)
+        seed = _pick(args.seed, cfg.get("noise", {}), "seed", _NOISE_DEFAULT.seed)
         dist = sample_noisy_distribution(dist, int(nr), np.random.default_rng(seed))
     print(json.dumps([float(p) for p in dist.flat]))
     if args.output:
@@ -266,7 +270,7 @@ def _cmd_benchmark(args) -> int:
         topology=_topology_from(args, cfg),
         n_values=_n_values_from(args, cfg),
         times=_times_from(args, cfg),
-        runs=_pick(args.runs, cfg.get("experiment", {}), "runs", 100),
+        runs=_pick(args.runs, cfg.get("experiment", {}), "runs", ExperimentSpec.runs),
         ga=_ga_from(args, cfg),
         probe=_probe_from(args, cfg),
     )
@@ -283,37 +287,39 @@ def _cmd_benchmark(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config_file(args.config)
-    noise_cfg = cfg.get("noise", {})
-    thresholds = _pick(args.thresholds, noise_cfg, "thresholds", None)
+def _noise_from(args, cfg: dict) -> NoiseConfig:
+    """Flag, then the config file's "noise" section, then NoiseConfig's default."""
+    noise = cfg.get("noise", {})
+    d = _NOISE_DEFAULT
+    thresholds = _pick(args.thresholds, noise, "thresholds", None)
     if isinstance(thresholds, str):
         try:
             thresholds = tuple(float(part) for part in thresholds.split(","))
         except ValueError:
             raise ConfigError(f"cannot parse thresholds from {thresholds!r}") from None
-    noise = NoiseConfig(
-        n_r=_pick(args.nr, noise_cfg, "n_r", 500),
-        thresholds=tuple(thresholds) if thresholds else (),
-        mc_runs=_pick(args.mc_runs, noise_cfg, "mc_runs", 100),
-        inner_runs=_pick(args.inner_runs, noise_cfg, "inner_runs", 10),
-        seed=_pick(args.seed, noise_cfg, "seed", 0),
+    return NoiseConfig(
+        n_r=_pick(args.nr, noise, "n_r", d.n_r),
+        thresholds=tuple(thresholds or ()),
+        mc_runs=_pick(args.mc_runs, noise, "mc_runs", d.mc_runs),
+        inner_runs=_pick(args.inner_runs, noise, "inner_runs", d.inner_runs),
+        seed=_pick(args.seed, noise, "seed", d.seed),
     )
+
+
+def _cmd_sweep(args) -> int:
+    cfg = _load_config_file(args.config)
     spec = ExperimentSpec(
         topology=_topology_from(args, cfg),
         n_values=_n_values_from(args, cfg),
         times=_times_from(args, cfg),
         runs=1,
         ga=_ga_from(args, cfg),
-        noise=noise,
+        noise=_noise_from(args, cfg),
         probe=_probe_from(args, cfg),
     )
     report = benchmark_noisy(spec)
     for threshold, tally in report.tallies.items():
-        print(
-            f"T={threshold:.6g}: tp={tally.true_positive} fp={tally.false_positive} "
-            f"tn={tally.true_negative} fn={tally.false_negative}"
-        )
+        print(f"T={threshold:.6g}: " + " ".join(f"{o.value}={tally[o]}" for o in Outcome))
     output = _pick(args.output, cfg.get("experiment", {}), "output", None)
     if output:
         emit_report(report, _format_from(args, cfg), output)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import json
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from .ctqw import ConcatenatedDistribution, ProbeState, TimeGrid, concatenated_d
 from .errors import ConfigError
 from .ga import GAConfig, run_ga
 from .graph import CouplingString, TopologySpec, build_topology
-from .measurement import NoiseConfig, OutcomeTally, monte_carlo_sweep
+from .measurement import NoiseConfig, Outcome, monte_carlo_sweep
 from .seeding import derive_seed, label_code
 
 __all__ = [
@@ -141,7 +142,7 @@ class BenchmarkReport:
 class SweepReport:
     config: dict
     n_r: int
-    tallies: dict[float, OutcomeTally]
+    tallies: dict[float, Counter[Outcome]]
 
 
 def _ga_echo(ga: GAConfig) -> dict:
@@ -197,6 +198,8 @@ def benchmark_noisy(spec: ExperimentSpec) -> SweepReport:
     """Threshold sweep over Monte-Carlo noise samples for one size."""
     if spec.noise is None:
         raise ConfigError("noisy benchmark requires a noise config")
+    if spec.ga.threshold is not None:
+        raise ConfigError("a sweep sets the halt thresholds itself; drop the GA threshold")
     if len(spec.n_values) != 1:
         raise ConfigError(f"sweep handles one network size at a time, got {spec.n_values}")
     n = spec.n_values[0]
@@ -210,13 +213,7 @@ def benchmark_noisy(spec: ExperimentSpec) -> SweepReport:
         "times": list(spec.times.times),
         "probe": spec.probe,
         "ga": _ga_echo(spec.ga),
-        "noise": {
-            "n_r": spec.noise.n_r,
-            "thresholds": list(spec.noise.thresholds),
-            "mc_runs": spec.noise.mc_runs,
-            "inner_runs": spec.noise.inner_runs,
-            "seed": spec.noise.seed,
-        },
+        "noise": {**asdict(spec.noise), "thresholds": list(spec.noise.thresholds)},
     }
     return SweepReport(config=config, n_r=spec.noise.n_r, tallies=tallies)
 
@@ -246,13 +243,16 @@ def _benchmark_csv(report: BenchmarkReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sweep_rows(report: SweepReport) -> list[dict]:
+    """One row per threshold, in SWEEP_CSV_HEADER's column order."""
+    return [
+        {"threshold": t, "N_r": report.n_r, **{o.value: tally[o] for o in Outcome}, "total": tally.total()}
+        for t, tally in report.tallies.items()
+    ]
+
+
 def _sweep_csv(report: SweepReport) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    for threshold, tally in report.tallies.items():
-        lines.append(
-            f"{threshold},{report.n_r},{tally.true_positive},{tally.false_positive},"
-            f"{tally.true_negative},{tally.false_negative},{tally.total}"
-        )
+    lines = [SWEEP_CSV_HEADER] + [",".join(map(str, row.values())) for row in _sweep_rows(report)]
     return "\n".join(lines) + "\n"
 
 
@@ -267,37 +267,8 @@ def _benchmark_json_obj(report: BenchmarkReport) -> dict:
                 "success_rate": entry.success_rate,
                 "generations_mean": entry.generations_mean,
                 "generations_std": entry.generations_std,
-                "runs": [
-                    {
-                        "run": r.run,
-                        "seed": r.seed,
-                        "success": r.success,
-                        "generations": r.generations,
-                        "evaluations": r.evaluations,
-                        "chromosome": r.chromosome,
-                        "score": r.score,
-                        "halted_by": r.halted_by,
-                    }
-                    for r in entry.records
-                ],
+                "runs": [asdict(r) for r in entry.records],
                 "raster": [[int(c) for c in r.chromosome] for r in entry.records],
-            }
-        )
-    return {"config": report.config, "results": results}
-
-
-def _sweep_json_obj(report: SweepReport) -> dict:
-    results = []
-    for threshold, tally in report.tallies.items():
-        results.append(
-            {
-                "threshold": threshold,
-                "N_r": report.n_r,
-                "tp": tally.true_positive,
-                "fp": tally.false_positive,
-                "tn": tally.true_negative,
-                "fn": tally.false_negative,
-                "total": tally.total,
             }
         )
     return {"config": report.config, "results": results}
@@ -312,7 +283,7 @@ def report_to_text(report: BenchmarkReport | SweepReport, fmt: ReportFormat) -> 
     if isinstance(report, BenchmarkReport):
         obj = _benchmark_json_obj(report)
     else:
-        obj = _sweep_json_obj(report)
+        obj = {"config": report.config, "results": _sweep_rows(report)}
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -330,36 +301,27 @@ def emit_report(
 
 
 def report_from_json(text: str) -> BenchmarkReport | SweepReport:
-    """Rebuild a report from its JSON serialization."""
+    """Rebuild a report from its JSON serialization.
+
+    Raises ConfigError for a sweep row whose total is not the sum of its
+    counts, or a run row whose keys are not RunRecord's fields.
+    """
     obj = json.loads(text)
     config = obj["config"]
     if config.get("protocol") == "sweep":
         tallies = {}
-        n_r = config["noise"]["n_r"]
         for row in obj["results"]:
-            tallies[row["threshold"]] = OutcomeTally(
-                true_positive=row["tp"],
-                false_positive=row["fp"],
-                true_negative=row["tn"],
-                false_negative=row["fn"],
-                total=row["total"],
-            )
-        return SweepReport(config=config, n_r=n_r, tallies=tallies)
+            tally = Counter({o: row[o.value] for o in Outcome})
+            if tally.total() != row["total"]:
+                raise ConfigError(f"sweep row {row}: total does not equal the sum of its counts")
+            tallies[row["threshold"]] = tally
+        return SweepReport(config=config, n_r=config["noise"]["n_r"], tallies=tallies)
     entries = []
     for res in obj["results"]:
-        records = tuple(
-            RunRecord(
-                run=r["run"],
-                seed=r["seed"],
-                success=r["success"],
-                generations=r["generations"],
-                evaluations=r["evaluations"],
-                chromosome=r["chromosome"],
-                score=r["score"],
-                halted_by=r["halted_by"],
-            )
-            for r in res["runs"]
-        )
+        try:
+            records = tuple(RunRecord(**r) for r in res["runs"])
+        except TypeError as exc:
+            raise ConfigError(f"benchmark run row does not match RunRecord: {exc}") from None
         entries.append(
             BenchmarkEntry(topology=res["topology"], n=res["n"], n_p=res["n_p"], records=records)
         )
@@ -393,11 +355,14 @@ def write_target(
 def load_target(path: str | Path) -> tuple[TimeGrid, ConcatenatedDistribution, str | None]:
     """Load a JSON target file written by :func:`write_target`.
 
+    A relative path resolves under $QWTOPO_OUTPUT_DIR, as it does when written.
+
     Returns the grid, the distribution and the probe label, which is
     None for files written before targets recorded their probe.
     """
+    path = resolve_output_path(path)
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(path.read_text())
     except OSError as exc:
         raise OSError(f"cannot read target from {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

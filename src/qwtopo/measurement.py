@@ -9,6 +9,7 @@ four-outcome analysis.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +24,6 @@ __all__ = [
     "default_thresholds",
     "NoiseConfig",
     "Outcome",
-    "OutcomeTally",
     "sample_noisy_distribution",
     "classify_outcome",
     "monte_carlo_sweep",
@@ -74,27 +74,6 @@ class Outcome(enum.Enum):
     FN = "fn"
 
 
-@dataclass
-class OutcomeTally:
-    true_positive: int = 0
-    false_positive: int = 0
-    true_negative: int = 0
-    false_negative: int = 0
-    total: int = 0
-
-    _FIELDS = {
-        Outcome.TP: "true_positive",
-        Outcome.FP: "false_positive",
-        Outcome.TN: "true_negative",
-        Outcome.FN: "false_negative",
-    }
-
-    def record(self, outcome: Outcome) -> None:
-        name = self._FIELDS[outcome]
-        setattr(self, name, getattr(self, name) + 1)
-        self.total += 1
-
-
 def sample_noisy_distribution(
     truth: ConcatenatedDistribution, n_r: int, rng: np.random.Generator
 ) -> ConcatenatedDistribution:
@@ -139,7 +118,7 @@ def monte_carlo_sweep(
     grid: TimeGrid,
     ga: GAConfig,
     noise: NoiseConfig,
-) -> dict[float, OutcomeTally]:
+) -> dict[float, Counter[Outcome]]:
     """Outcome tallies per threshold over mc_runs noisy targets.
 
     Each Monte-Carlo run draws one noisy target (shared by all its
@@ -148,7 +127,7 @@ def monte_carlo_sweep(
     given inner run differs across thresholds only in when it halts.
     """
     ideal = concatenated_distribution(truth, psi0, grid)
-    tallies = {t: OutcomeTally() for t in noise.thresholds}
+    tallies = {t: Counter() for t in noise.thresholds}
     for mc in range(noise.mc_runs):
         noise_rng = np.random.default_rng(derive_seed(noise.seed, 0, mc))
         target = sample_noisy_distribution(ideal, noise.n_r, noise_rng)
@@ -156,7 +135,7 @@ def monte_carlo_sweep(
             for inner in range(noise.inner_runs):
                 cfg = replace(ga, threshold=threshold, seed=derive_seed(noise.seed, 1, mc, inner))
                 result = run_ga(target, psi0, grid, cfg)
-                tallies[threshold].record(classify_outcome(result, truth))
+                tallies[threshold][classify_outcome(result, truth)] += 1
     if noise.mc_runs == 0:
         return {}
     return tallies

@@ -28,7 +28,7 @@ from qwtopo.fitness import kld
 from qwtopo.ga import GAConfig
 from qwtopo.graph import CouplingString, TopologyKind, TopologySpec, build_topology, to_hamiltonian
 from qwtopo.harness import ExperimentSpec, benchmark_noiseless
-from qwtopo.measurement import NoiseConfig, monte_carlo_sweep
+from qwtopo.measurement import NoiseConfig, Outcome, monte_carlo_sweep
 
 pytestmark = pytest.mark.slow
 
@@ -313,24 +313,24 @@ def test_criterion_09_noise_sweep_shape(acceptance_log, noise_sweep_tallies) -> 
 
     conservation_ok = True
     for tally in noise_sweep_tallies.values():
-        parts = tally.true_positive + tally.false_positive + tally.true_negative + tally.false_negative
-        conservation_ok &= parts == tally.total == 1000
+        parts = tally[Outcome.TP] + tally[Outcome.FP] + tally[Outcome.TN] + tally[Outcome.FN]
+        conservation_ok &= parts == tally.total() == 1000
 
     smallest = noise_sweep_tallies[thresholds[0]]
-    negatives = smallest.false_negative + smallest.true_negative
-    neg_ok = negatives >= 0.9 * smallest.total
-    fn_ok = smallest.false_negative >= max(
-        smallest.true_positive, smallest.false_positive, smallest.true_negative
+    negatives = smallest[Outcome.FN] + smallest[Outcome.TN]
+    neg_ok = negatives >= 0.9 * smallest.total()
+    fn_ok = smallest[Outcome.FN] >= max(
+        smallest[Outcome.TP], smallest[Outcome.FP], smallest[Outcome.TN]
     )
 
-    tp = [noise_sweep_tallies[t].true_positive for t in thresholds]
+    tp = [noise_sweep_tallies[t][Outcome.TP] for t in thresholds]
     interior_ok = max(tp[1:-1]) > max(tp[0], tp[-1])
 
     ok = conservation_ok and neg_ok and fn_ok and interior_ok
     acceptance_log(
         9,
         ok,
-        f"smallest T: FN+TN {negatives}/1000 (FN {smallest.false_negative}); "
+        f"smallest T: FN+TN {negatives}/1000 (FN {smallest[Outcome.FN]}); "
         f"TP endpoints {tp[0]}/{tp[-1]}, interior max {max(tp[1:-1])}; conservation exact",
     )
     assert ok

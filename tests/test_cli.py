@@ -9,12 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qwtopo.cli import _ga_from, build_parser, cli_main
+from qwtopo import cli
+from qwtopo.cli import _ga_from, _noise_from, build_parser, cli_main
 from qwtopo.ctqw import ProbeState, TimeGrid, concatenated_distribution
 from qwtopo.fitness import Metric
 from qwtopo.ga import GAConfig, run_ga
 from qwtopo.graph import TopologyKind, TopologySpec, build_topology
-from qwtopo.harness import load_target, report_from_json
+from qwtopo.harness import OUTPUT_DIR_ENV, BenchmarkReport, ExperimentSpec, load_target, report_from_json
+from qwtopo.measurement import NoiseConfig
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -184,6 +186,24 @@ def test_reconstruct_uses_the_probe_the_target_records(capsys, tmp_path: Path) -
     assert result["halted_by"] == "ZeroFitness"
 
 
+def test_target_round_trip_under_output_dir(capsys, monkeypatch, tmp_path: Path) -> None:
+    # a stale t.json in the working directory must not be read in place of
+    # the one simulate wrote under the output directory
+    cwd, out_dir = tmp_path / "cwd", tmp_path / "out"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    run_cli(capsys, "simulate", "--topology", "line", "--n", "5", "--output", "t.json")
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(out_dir))
+    code, _, _ = run_cli(capsys, "simulate", "--topology", "star", "--n", "5", "--output", "t.json")
+    assert code == 0 and (out_dir / "t.json").exists()
+    code, out, _ = run_cli(capsys, "reconstruct", "--target", "t.json", "--seed", "3")
+    assert code == 0
+    result = json.loads(out)
+    assert result["chromosome"] == build_topology(TopologySpec(TopologyKind.STAR), 5).to_bitstring()
+    assert result["halted_by"] == "ZeroFitness"
+
+
 def test_reconstruct_missing_target_file(capsys, tmp_path: Path) -> None:
     code, _, err = run_cli(capsys, "reconstruct", "--target", str(tmp_path / "no.json"))
     assert code == 2
@@ -263,11 +283,22 @@ def test_sweep_small_run(capsys, tmp_path: Path) -> None:
     assert out.count("T=") == 2
     lines = out_file.read_text().splitlines()
     assert lines[0] == "threshold,N_r,tp,fp,tn,fn,total"
-    for line in lines[1:]:
+    for line, printed in zip(lines[1:], out.splitlines(), strict=True):
         cells = line.split(",")
         assert cells[1] == "200"
         tp, fp, tn, fn, total = map(int, cells[2:])
         assert tp + fp + tn + fn == total == 4
+        assert printed == f"T={float(cells[0]):.6g}: tp={tp} fp={fp} tn={tn} fn={fn}"
+
+
+def test_sweep_rejects_a_ga_threshold(capsys, tmp_path: Path) -> None:
+    argv = ["sweep", "--topology", "star", "--n", "3", "--mc-runs", "1", "--inner-runs", "1"]
+    code, _, err = run_cli(capsys, *argv, "--threshold", "0.5")
+    assert code == 1 and "GA threshold" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ga": {"threshold": 0.5}}))
+    code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 1 and "GA threshold" in err
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path: Path) -> None:
@@ -300,6 +331,24 @@ def test_cli_flag_overrides_config_file(capsys, tmp_path: Path) -> None:
 def test_ga_defaults_come_from_ga_config(command) -> None:
     args = build_parser().parse_args([command])
     assert _ga_from(args, {}) == GAConfig()
+
+
+def test_noise_defaults_come_from_noise_config() -> None:
+    assert _noise_from(build_parser().parse_args(["sweep"]), {}) == NoiseConfig()
+
+
+def test_benchmark_runs_default_comes_from_experiment_spec(capsys, monkeypatch) -> None:
+    specs = []
+    monkeypatch.setattr(cli, "benchmark_noiseless", lambda spec: specs.append(spec) or BenchmarkReport({}, ()))
+    assert run_cli(capsys, "benchmark", "--topology", "star", "--n", "4")[0] == 0
+    assert specs[0].runs == ExperimentSpec(TopologySpec(TopologyKind.STAR), (4,)).runs
+
+
+def test_noise_flags_and_config_file_set_their_fields() -> None:
+    args = build_parser().parse_args(["sweep", "--nr", "50", "--mc-runs", "3", "--thresholds", "0.1,0.2"])
+    expected = NoiseConfig(n_r=50, thresholds=(0.1, 0.2), mc_runs=3, inner_runs=4, seed=6)
+    # the flag wins over the file's n_r; the file fills the unset fields
+    assert _noise_from(args, {"noise": {"n_r": 70, "inner_runs": 4, "seed": 6}}) == expected
 
 
 def test_ga_flags_and_config_file_set_their_fields() -> None:

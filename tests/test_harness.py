@@ -31,7 +31,7 @@ from qwtopo.harness import (
     run_seed,
     write_target,
 )
-from qwtopo.measurement import NoiseConfig
+from qwtopo.measurement import NoiseConfig, Outcome
 
 
 def test_make_probe_names() -> None:
@@ -122,6 +122,11 @@ def test_benchmark_noisy_requires_noise_and_single_n() -> None:
                 base, n_values=(4, 5), noise=NoiseConfig(mc_runs=1)
             )
         )
+    # the sweep sets the threshold of every run, so a GA threshold would be ignored
+    with pytest.raises(ConfigError, match="GA threshold"):
+        benchmark_noisy(
+            dataclasses.replace(base, ga=GAConfig(threshold=0.5), noise=NoiseConfig(mc_runs=1))
+        )
 
 
 def test_benchmark_noisy_small() -> None:
@@ -132,7 +137,8 @@ def test_benchmark_noisy_small() -> None:
     report = benchmark_noisy(spec)
     assert report.n_r == 200
     assert set(report.tallies) == {1e-2}
-    assert report.tallies[1e-2].total == 4
+    assert report.tallies[1e-2].total() == 4
+    assert set(report.tallies[1e-2]) <= set(Outcome)
     assert report.config["protocol"] == "sweep"
     assert report.config["noise"]["mc_runs"] == 2
 
@@ -187,6 +193,28 @@ def test_sweep_json_round_trip(tmp_path: Path) -> None:
     assert isinstance(loaded, SweepReport)
     assert loaded.tallies == report.tallies
     assert loaded.config == report.config
+
+
+def test_sweep_json_total_must_match_counts() -> None:
+    noise = NoiseConfig(n_r=100, thresholds=(1e-2, 1e-1), mc_runs=1, inner_runs=2, seed=2)
+    spec = dataclasses.replace(small_spec(), ga=GAConfig(n_p=8, n_g=2), noise=noise)
+    obj = json.loads(report_to_text(benchmark_noisy(spec), ReportFormat.JSON))
+    obj["results"][1]["total"] += 1
+    with pytest.raises(ConfigError, match="total"):
+        report_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("edit", ["missing", "unknown"])
+def test_benchmark_json_run_row_must_match_run_record(edit: str) -> None:
+    report = benchmark_noiseless(small_spec(runs=2))
+    obj = json.loads(report_to_text(report, ReportFormat.JSON))
+    row = obj["results"][0]["runs"][1]
+    if edit == "missing":
+        del row["halted_by"]
+    else:
+        row["note"] = "extra"
+    with pytest.raises(ConfigError, match="RunRecord"):
+        report_from_json(json.dumps(obj))
 
 
 def test_json_raster_matches_chromosomes(tmp_path: Path) -> None:

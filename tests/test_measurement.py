@@ -1,6 +1,8 @@
 """Shot noise, outcome classification, and threshold sweeps."""
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from qwtopo.graph import CouplingString, TopologyKind, TopologySpec, build_topol
 from qwtopo.measurement import (
     NoiseConfig,
     Outcome,
-    OutcomeTally,
     classify_outcome,
     default_thresholds,
     monte_carlo_sweep,
@@ -119,12 +120,12 @@ def test_classify_outcome_all_four_cells() -> None:
 
 
 def test_outcome_tally_records_and_totals() -> None:
-    tally = OutcomeTally()
+    tally = Counter()
     for o in (Outcome.TP, Outcome.TP, Outcome.FN):
-        tally.record(o)
-    assert tally.true_positive == 2 and tally.false_negative == 1
-    assert tally.false_positive == 0 and tally.true_negative == 0
-    assert tally.total == 3
+        tally[o] += 1
+    assert tally[Outcome.TP] == 2 and tally[Outcome.FN] == 1
+    assert tally[Outcome.FP] == 0 and tally[Outcome.TN] == 0
+    assert tally.total() == 3
 
 
 def sweep_args(n: int = 3):
@@ -141,13 +142,9 @@ def test_monte_carlo_sweep_conserves_counts() -> None:
     tallies = monte_carlo_sweep(truth, psi0, grid, ga, noise)
     assert set(tallies) == {1e-3, 1e-2, 1e-1}
     for tally in tallies.values():
-        parts = (
-            tally.true_positive
-            + tally.false_positive
-            + tally.true_negative
-            + tally.false_negative
-        )
-        assert parts == tally.total == 8
+        assert set(tally) <= set(Outcome)
+        parts = tally[Outcome.TP] + tally[Outcome.FP] + tally[Outcome.TN] + tally[Outcome.FN]
+        assert parts == tally.total() == 8
 
 
 def test_monte_carlo_sweep_zero_runs() -> None:
@@ -172,8 +169,8 @@ def test_monte_carlo_sweep_huge_threshold_always_halts() -> None:
     noise = NoiseConfig(n_r=200, thresholds=(1e6,), mc_runs=5, inner_runs=2, seed=1)
     ga = GAConfig(n_p=8, n_g=2, seed=0)
     tally = monte_carlo_sweep(truth, psi0, grid, ga, noise)[1e6]
-    assert tally.false_negative == tally.true_negative == 0
-    assert tally.true_positive + tally.false_positive == tally.total == 10
+    assert tally[Outcome.FN] == tally[Outcome.TN] == 0
+    assert tally[Outcome.TP] + tally[Outcome.FP] == tally.total() == 10
 
 
 def test_monte_carlo_sweep_halting_monotone_in_threshold() -> None:
@@ -186,6 +183,6 @@ def test_monte_carlo_sweep_halting_monotone_in_threshold() -> None:
     ga = GAConfig(n_p=20, n_g=4, seed=0)
     tallies = monte_carlo_sweep(truth, psi0, grid, ga, noise)
     positives = [
-        tallies[t].true_positive + tallies[t].false_positive for t in sorted(tallies)
+        tallies[t][Outcome.TP] + tallies[t][Outcome.FP] for t in sorted(tallies)
     ]
     assert positives == sorted(positives)
