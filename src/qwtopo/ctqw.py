@@ -2,18 +2,33 @@
 
 The walker evolves under U(t) = exp(-iHt) with H the adjacency
 Hamiltonian of a coupling string (unit couplings, zero on-site
-energies).  H is real symmetric, so the propagator is computed from one
-eigendecomposition H = V diag(lambda) V^T and reused for every
-evolution time.
+energies).  The batch path expands exp(-iHt) psi in Chebyshev
+polynomials (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)):
+
+    exp(-iHt) psi = sum_k (2 - delta_k0) (-i)^k J_k(a t) T_k(H/a) psi,
+
+where a = n - 1 bounds the spectrum of any n-node adjacency matrix, so
+H/a has its eigenvalues in [-1, 1].  The vectors T_k(H/a) psi come from
+the three-term recurrence v_{k+1} = 2 (H/a) v_k - v_{k-1} and are
+shared by every evolution time; only the Bessel weights J_k(a t)
+differ.  The terms run until (x/2)^k / k! < 1e-18 with k > x for the
+largest x = a t, which bounds every dropped J_k(x).  Each vector is
+folded into the amplitudes as soon as it is made, in a fixed k order,
+with per-row operations only, so a row's result depends on its genome
+alone and not on its batch.  The recurrence is real: a real probe runs
+one, a complex probe runs its real and imaginary parts side by side.
+:func:`spectral_propagator` (one eigendecomposition) stays as the
+reference the tests hold the expansion to.
 
 A large batch is cut into contiguous chunks that the calling thread and
 a pool of worker threads, one fewer than the CPUs the process may use,
-decompose at the same time; numpy's batched ``eigh`` releases the GIL.
-Each matrix goes through the same LAPACK call whatever its batch, so the
-result is bitwise the serial one.
+propagate at the same time; numpy releases the GIL inside each array
+operation.  Rows never interact, so the result is bitwise the serial
+one.
 """
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,10 +51,14 @@ __all__ = [
 
 _NORM_TOL = 1e-12
 
-# Fewest rows a chunk of a split batch may hold.  Measured on 2 cores:
-# halving a batch across two threads breaks even at about 192 rows for
-# n=5 and 64-96 rows for n=6..10, so smaller batches stay serial.
-_SPLIT_MIN_ROWS = 128
+# Fewest rows a chunk of a split batch may hold.  Measured on 2 cores
+# (median of 40 calls, times 0.5 and 0.6, serial / halved across two
+# threads): n=5 2.55 / 2.73 ms at 1024 rows and 5.13 / 3.83 ms at 2048;
+# n=7 3.30 / 3.19 ms at 1024; n=10 2.94 / 3.21 ms at 512, 5.38 / 4.28 ms
+# at 1024 and 30.1 / 18.1 ms at 4050.  Each of the 20-30 recurrence
+# steps is a few array operations, and a split pays for the threads taking
+# turns between them, so batches under 1024 rows stay serial.
+_SPLIT_MIN_ROWS = 512
 
 _pool: ThreadPoolExecutor | None = None
 
@@ -256,9 +275,9 @@ def batch_site_distributions(
 ) -> np.ndarray:
     """Site distributions for m coupling strings at K times, as (m, K, n).
 
-    One batched eigendecomposition serves all strings and all times;
-    this is the hot path of the fitness evaluation.  The Hamiltonians
-    are built here on the calling thread; a batch of at least
+    One Chebyshev recurrence per batch serves all strings and all
+    times; this is the hot path of the fitness evaluation.  The
+    Hamiltonians are built here on the calling thread; a batch of at least
     2 * _SPLIT_MIN_ROWS rows is then propagated in chunks across the
     process's CPUs, the first chunk on the calling thread.
     """
@@ -275,8 +294,81 @@ def batch_site_distributions(
 
 def _propagate(h: np.ndarray, amplitudes: np.ndarray, times: tuple[float, ...]) -> np.ndarray:
     """Site distributions for an (m, n, n) Hamiltonian stack, as (m, K, n)."""
-    w, v = np.linalg.eigh(h)
-    coeff = np.einsum("mij,i->mj", v, amplitudes)
-    phases = np.exp(-1j * w[:, None, :] * np.asarray(times)[None, :, None])
-    amps = np.einsum("mij,mkj->mki", v, phases * coeff[:, None, :])
-    return np.abs(amps) ** 2
+    m, n, _ = h.shape
+    scale, weights = _chebyshev_weights(n, times)
+    # Columns of the recurrence: the probe's real part and, for a complex
+    # probe, its imaginary part.
+    parts = [amplitudes.real, amplitudes.imag] if amplitudes.imag.any() else [amplitudes.real]
+    psi = np.stack(parts, axis=-1)[None]
+    h2 = h * (2.0 / scale)
+    # Three vectors in turn, v_{k-1}, v_k and the next, and one scratch
+    # term, all reused across steps.
+    prev = np.repeat(psi, m, axis=0)
+    cur = np.einsum("mij,mjc->mic", h2, prev)
+    cur *= 0.5
+    nxt = np.empty_like(cur)
+    # (K, m, n, c) sums of the even and of the odd terms: (-i)^k is real
+    # for even k and imaginary for odd k.
+    even = weights[0] * prev
+    odd = np.zeros_like(even)
+    term = np.empty_like(even)
+    for k in range(1, len(weights)):
+        acc = odd if k % 2 else even
+        np.multiply(weights[k], cur, out=term)
+        acc += term
+        if k + 1 < len(weights):
+            np.einsum("mij,mjc->mic", h2, cur, out=nxt)
+            nxt -= prev
+            prev, cur, nxt = cur, nxt, prev
+    if len(parts) == 1:
+        re, im = even[..., 0], odd[..., 0]
+    else:
+        re = even[..., 0] - odd[..., 1]
+        im = even[..., 1] + odd[..., 0]
+    return np.ascontiguousarray((re * re + im * im).transpose(1, 0, 2))
+
+
+# Bound on the largest Bessel weight the expansion drops.
+_TAIL = 1e-18
+
+
+def _term_count(x: float) -> int:
+    """Fewest terms k > x with (x/2)^k / k! < _TAIL.
+
+    J_j(x) <= (x/2)^j / j! for x >= 0, and past j > x each bound is under
+    half the one before, so every dropped weight is below _TAIL.
+    """
+    k, bound = 0, 1.0
+    while k <= x or bound >= _TAIL:
+        k += 1
+        bound *= x / (2 * k)
+    return k
+
+
+@functools.lru_cache(maxsize=64)
+def _chebyshev_weights(n: int, times: tuple[float, ...]) -> tuple[float, np.ndarray]:
+    """Spectral scale a and read-only real weights of shape (terms, K, 1, 1, 1).
+
+    Term k's weight at time t is (2 - delta_k0) J_k(a t) times the real
+    factor of (-i)^k: (-1)^(k/2) for even k, -(-1)^((k-1)/2) for odd k,
+    whose amplitude share is imaginary.  J_k(x) is the trapezoid rule
+    for (1/2pi) * integral over [0, 2pi) of cos(k theta - x sin theta),
+    exact up to aliased terms J_(N-k) and J_(N+k), with N = 2 * terms
+    points, all below the dropped-term bound.  Weights at x = 0 are set
+    exactly (J_k(0) = delta_k0), so time 0 returns the probe itself.
+    """
+    scale = float(max(n - 1, 1))
+    x = scale * np.asarray(times)
+    terms = _term_count(float(x.max()))
+    points = 2 * terms
+    k = np.arange(terms)
+    theta = 2 * np.pi / points * np.arange(points)
+    # k theta reduced modulo 2 pi in integers, so large k add no rounding.
+    k_theta = 2 * np.pi / points * (np.outer(k, np.arange(points)) % points)
+    bessel = np.cos(k_theta[:, None, :] - x[:, None] * np.sin(theta)).mean(axis=2)
+    bessel[:, x == 0] = (k == 0)[:, None]
+    sign = np.where(k % 2 == 0, 1.0, -1.0) * np.where(k % 4 < 2, 1.0, -1.0)
+    weights = np.where(k > 0, 2.0, 1.0)[:, None] * sign[:, None] * bessel
+    weights = weights[:, :, None, None, None]
+    weights.setflags(write=False)
+    return scale, weights

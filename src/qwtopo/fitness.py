@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .ctqw import ConcatenatedDistribution, ProbeState, TimeGrid, concatenated_distribution
 from .errors import ShapeError
@@ -69,11 +68,13 @@ def fitness(
 def batch_kld(models: np.ndarray, target_flat: np.ndarray) -> np.ndarray:
     """KLD of each row of an (m, K*n) model array against one target.
 
+    Each term is m ln(m / max(t, TARGET_CLAMP)), and 0 where m = 0.
     The termwise sum can round slightly below zero when a model matches
     the target; such rows score 0.0, and positive sums are unchanged.
     """
     clamped = np.maximum(target_flat, TARGET_CLAMP)
-    return np.maximum(rel_entr(models, clamped[None, :]).sum(axis=1), 0.0)
+    logs = np.log(models / clamped, out=np.zeros_like(models), where=models > 0)
+    return np.maximum((models * logs).sum(axis=1), 0.0)
 
 
 def batch_kolmogorov(models: np.ndarray, target_flat: np.ndarray) -> np.ndarray:

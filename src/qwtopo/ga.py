@@ -170,6 +170,7 @@ def run_ga(
     psi0: ProbeState,
     grid: TimeGrid,
     config: GAConfig,
+    cache: dict[bytes, float] | None = None,
 ) -> RunResult:
     """Search for the coupling string whose walk statistics match the target.
 
@@ -180,6 +181,12 @@ def run_ga(
     Returns the best individual ever seen.  ``evaluations`` counts
     distinct genomes scored; repeats are served from a memo and cost
     nothing.
+
+    ``cache`` is the memo of scores by genome bytes, empty by default.
+    Runs against the same target, probe, times and metric may share
+    one, since a score depends on nothing else and a row's distribution
+    does not depend on its batch; ``evaluations`` then counts only the
+    genomes that were not in it yet.
     """
     n = target.n
     if psi0.n != n:
@@ -197,7 +204,8 @@ def run_ga(
     rng = np.random.default_rng(config.seed)
     bits = rng.integers(0, 2, size=(n_p, n_c), dtype=np.uint8)
     target_flat = target.flat
-    cache: dict[bytes, float] = {}
+    if cache is None:
+        cache = {}
     evaluations = 0
     best_score = np.inf
     best_bits = bits[0]

@@ -304,7 +304,8 @@ def report_from_json(text: str) -> BenchmarkReport | SweepReport:
     """Rebuild a report from its JSON serialization.
 
     Raises ConfigError for a sweep row whose total is not the sum of its
-    counts, or a run row whose keys are not RunRecord's fields.
+    counts, a threshold with more than one sweep row, or a run row whose
+    keys are not RunRecord's fields.
     """
     obj = json.loads(text)
     config = obj["config"]
@@ -314,6 +315,8 @@ def report_from_json(text: str) -> BenchmarkReport | SweepReport:
             tally = Counter({o: row[o.value] for o in Outcome})
             if tally.total() != row["total"]:
                 raise ConfigError(f"sweep row {row}: total does not equal the sum of its counts")
+            if row["threshold"] in tallies:
+                raise ConfigError(f"sweep has more than one row for threshold {row['threshold']!r}")
             tallies[row["threshold"]] = tally
         return SweepReport(config=config, n_r=config["noise"]["n_r"], tallies=tallies)
     entries = []

@@ -125,16 +125,19 @@ def monte_carlo_sweep(
     thresholds and inner runs); each inner run re-seeds the search
     deterministically from (noise.seed, mc index, inner index), so a
     given inner run differs across thresholds only in when it halts.
+    All searches against one target share one score memo, so a genome
+    is propagated at most once per target.
     """
     ideal = concatenated_distribution(truth, psi0, grid)
     tallies = {t: Counter() for t in noise.thresholds}
     for mc in range(noise.mc_runs):
         noise_rng = np.random.default_rng(derive_seed(noise.seed, 0, mc))
         target = sample_noisy_distribution(ideal, noise.n_r, noise_rng)
+        cache: dict[bytes, float] = {}
         for threshold in noise.thresholds:
             for inner in range(noise.inner_runs):
                 cfg = replace(ga, threshold=threshold, seed=derive_seed(noise.seed, 1, mc, inner))
-                result = run_ga(target, psi0, grid, cfg)
+                result = run_ga(target, psi0, grid, cfg, cache=cache)
                 tallies[threshold][classify_outcome(result, truth)] += 1
     if noise.mc_runs == 0:
         return {}

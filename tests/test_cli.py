@@ -382,3 +382,11 @@ def test_installed_entry_point() -> None:
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)) == 6
+
+
+def test_cli_import_loads_no_scipy() -> None:
+    # Start-up cost: the program itself runs on NumPy alone.
+    code = "import sys, qwtopo.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

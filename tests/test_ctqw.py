@@ -325,6 +325,71 @@ def test_rows_are_bitwise_independent_of_their_batch(n: int, monkeypatch) -> Non
     assert ctqw._pool is not None
 
 
+def random_complex_probe(n: int, rng: np.random.Generator) -> ProbeState:
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return ProbeState(amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 12])
+@pytest.mark.parametrize("probe", ["ramp", "complex"])
+def test_rows_are_bitwise_independent_of_their_batch_at_three_times(n: int, probe: str, monkeypatch) -> None:
+    # The same guarantee at times 0.5, 0.6, 1 (more expansion terms),
+    # and for a complex probe, whose real and imaginary parts run side
+    # by side through the recurrence.
+    rng = np.random.default_rng(200 + n)
+    amps = (ProbeState.ramp(n) if probe == "ramp" else random_complex_probe(n, rng)).amplitudes
+    times = (0.5, 0.6, 1.0)
+    n_c = n * (n - 1) // 2
+    bits = rng.integers(0, 2, size=(37, n_c), dtype=np.uint8)
+
+    def batch(rows: np.ndarray) -> np.ndarray:
+        return batch_site_distributions(rows, n, amps, times).view(np.uint64)
+
+    alone = np.stack([batch(row[None, :])[0] for row in bits])
+    order = rng.permutation(len(bits))
+    padded = np.concatenate([rng.integers(0, 2, size=(5, n_c), dtype=np.uint8), bits])
+    assert np.array_equal(batch(bits), alone)
+    assert np.array_equal(batch(bits[order]), alone[order])
+    assert np.array_equal(batch(padded)[5:], alone)
+    for workers, min_rows in ((1, 1), (3, 7)):
+        force_split(monkeypatch, workers, min_rows)
+        assert np.array_equal(batch(padded)[5:], alone)
+
+
+def test_batch_matches_spectral_propagator_on_random_graphs() -> None:
+    # The Chebyshev expansion against one eigendecomposition per graph
+    # and time.  Measured max |dp| over this set: 1.5e-14, at n=12 and
+    # t=10 (a * t = 110, 184 terms); at most 4.8e-15 for t <= 3.
+    rng = np.random.default_rng(23)
+    times = (0.0, 0.5, 0.6, 1.0, 3.0, 10.0)
+    worst = 0.0
+    for n in range(2, 13):
+        bits = rng.integers(0, 2, size=(6, n * (n - 1) // 2), dtype=np.uint8)
+        probes = [
+            ProbeState.ramp(n),
+            ProbeState.uniform(n),
+            ProbeState.localized(n, int(rng.integers(n))),
+            random_complex_probe(n, rng),
+        ]
+        for psi0 in probes:
+            batch = batch_site_distributions(bits, n, psi0.amplitudes, times)
+            for row, slab in zip(bits, batch):
+                h = to_hamiltonian(CouplingString(row, n))
+                oracle = [np.abs(spectral_propagator(h, t) @ psi0.amplitudes) ** 2 for t in times]
+                worst = max(worst, float(np.abs(slab - oracle).max()))
+    assert worst < 1e-13
+
+
+def test_batch_two_node_closed_form() -> None:
+    # One edge, walker on site 0: p_0 = cos^2 t and p_1 = sin^2 t.
+    times = (0.0, 0.5, 0.6, 1.0, math.pi / 2, 3.0, 10.0)
+    edge = np.array([[1]], dtype=np.uint8)
+    batch = batch_site_distributions(edge, 2, ProbeState.localized(2, 0).amplitudes, times)
+    expected = np.array([[math.cos(t) ** 2, math.sin(t) ** 2] for t in times])
+    assert np.allclose(batch[0], expected, rtol=0.0, atol=1e-14)
+    assert np.array_equal(batch[0, 0], [1.0, 0.0])
+
+
 def test_split_path_matches_serial_on_a_generation_sized_batch(monkeypatch) -> None:
     rng = np.random.default_rng(19)
     bits = rng.integers(0, 2, size=(4050, 45), dtype=np.uint8)
@@ -343,7 +408,8 @@ def _send_batch(conn, bits: np.ndarray) -> None:
 def test_split_survives_fork(monkeypatch) -> None:
     # A pool inherited across fork has no live threads in the child; a
     # split there must start its own pool instead of waiting forever.
-    bits = np.random.default_rng(20).integers(0, 2, size=(1000, 28), dtype=np.uint8)
+    rows = 2 * ctqw._SPLIT_MIN_ROWS
+    bits = np.random.default_rng(20).integers(0, 2, size=(rows, 28), dtype=np.uint8)
     force_split(monkeypatch, 1, ctqw._SPLIT_MIN_ROWS)
     parent = ramp_batch(bits, 8)
     assert ctqw._pool is not None
@@ -379,7 +445,8 @@ def record_hamiltonian_stack(monkeypatch) -> list[tuple[threading.Thread, np.nda
 def test_split_builds_hamiltonians_once_on_the_calling_thread(monkeypatch) -> None:
     # The benchmark's tracer wraps hamiltonian_stack and keeps a single
     # span stack, so worker threads must not call it.
-    bits = np.random.default_rng(21).integers(0, 2, size=(1000, 28), dtype=np.uint8)
+    rows = 2 * ctqw._SPLIT_MIN_ROWS
+    bits = np.random.default_rng(21).integers(0, 2, size=(rows, 28), dtype=np.uint8)
     force_split(monkeypatch, 3, ctqw._SPLIT_MIN_ROWS)
     calls = record_hamiltonian_stack(monkeypatch)
     ramp_batch(bits, 8)

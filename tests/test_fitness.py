@@ -89,11 +89,29 @@ def test_batch_kld_clamps_negative_sums_and_keeps_positive_ones() -> None:
     models /= models.sum(axis=1, keepdims=True)
     # a sub-normalized row sums below zero; it must not rank above a match
     models[0] = 0.9 * target
-    raw = rel_entr(models, target[None, :]).sum(axis=1)
+    raw = (models * np.log(models / target[None, :])).sum(axis=1)
     scores = batch_kld(models, target)
     assert raw[0] < 0.0 and scores[0] == 0.0
     assert (raw[1:] > 0).all()
     assert np.array_equal(scores[1:].view(np.uint64), raw[1:].view(np.uint64))
+    # SciPy's rel_entr, as an outside reference, agrees to rounding.
+    reference = rel_entr(models, target[None, :]).sum(axis=1)
+    assert np.allclose(scores[1:], reference[1:], rtol=1e-13, atol=0.0)
+
+
+def test_batch_kld_matches_rel_entr_with_empty_bins() -> None:
+    # Model zeros contribute 0 (0 ln 0 = 0); target zeros are clamped.
+    rng = np.random.default_rng(4)
+    models = rng.random((40, 12))
+    models[rng.random(models.shape) < 0.2] = 0.0
+    models /= models.sum(axis=1, keepdims=True)
+    target = rng.random(12)
+    target[[2, 7]] = 0.0
+    target /= target.sum()
+    reference = rel_entr(models, np.maximum(target, TARGET_CLAMP)[None, :]).sum(axis=1)
+    scores = batch_kld(models, target)
+    assert np.isfinite(scores).all()
+    assert np.allclose(scores, np.maximum(reference, 0.0), rtol=1e-13, atol=0.0)
 
 
 def test_kolmogorov_examples() -> None:

@@ -12,6 +12,7 @@ from qwtopo.errors import ConfigError, ShapeError
 from qwtopo.fitness import Metric, batch_kld, batch_kolmogorov, fitness
 from qwtopo.ga import GAConfig, HaltReason, _breed, _evaluate, run_ga
 from qwtopo.graph import TopologyKind, TopologySpec, build_topology
+from qwtopo.measurement import sample_noisy_distribution
 
 
 @pytest.mark.parametrize(
@@ -241,6 +242,24 @@ def test_run_ga_evaluation_budget() -> None:
         result = run_ga(target, psi0, grid, cfg)
         n_p = cfg.resolved_n_p(6)
         assert 1 <= result.evaluations <= n_p * (result.generations_used + 1)
+
+
+def test_run_ga_shared_memo_changes_only_the_evaluation_count() -> None:
+    # A noisy target keeps the search off zero, so it runs several generations.
+    _, psi0, grid, ideal = star_problem(5)
+    target = sample_noisy_distribution(ideal, 300, np.random.default_rng(9))
+    cache: dict[bytes, float] = {}
+    runs = [GAConfig(seed=seed, n_g=6, n_p=30) for seed in (1, 2, 1)]
+    shared = [run_ga(target, psi0, grid, cfg, cache=cache) for cfg in runs]
+    alone = [run_ga(target, psi0, grid, cfg) for cfg in runs]
+    for a, b in zip(shared, alone):
+        assert (a.best_chromosome, a.best_score, a.generations_used, a.halted_by) == (
+            b.best_chromosome, b.best_score, b.generations_used, b.halted_by
+        )
+    assert shared[0].evaluations == alone[0].evaluations
+    assert shared[1].evaluations < alone[1].evaluations
+    assert shared[2].evaluations == 0
+    assert len(cache) == shared[0].evaluations + shared[1].evaluations
 
 
 def test_run_ga_threshold_checked_before_zero() -> None:

@@ -204,6 +204,15 @@ def test_sweep_json_total_must_match_counts() -> None:
         report_from_json(json.dumps(obj))
 
 
+def test_sweep_json_repeated_threshold_is_rejected() -> None:
+    golden = Path(__file__).resolve().parent / "golden" / "sweep_star_n5.json"
+    obj = json.loads(golden.read_text())
+    assert len(report_from_json(json.dumps(obj)).tallies) == len(obj["results"])
+    obj["results"].append(obj["results"][0])
+    with pytest.raises(ConfigError, match="more than one row"):
+        report_from_json(json.dumps(obj))
+
+
 @pytest.mark.parametrize("edit", ["missing", "unknown"])
 def test_benchmark_json_run_row_must_match_run_record(edit: str) -> None:
     report = benchmark_noiseless(small_spec(runs=2))

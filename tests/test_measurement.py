@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qwtopo.ctqw import ConcatenatedDistribution, ProbeState, TimeGrid, concatenated_distribution
 from qwtopo.errors import ConfigError
-from qwtopo.ga import GAConfig, HaltReason, RunResult
+from qwtopo.ga import GAConfig, HaltReason, RunResult, run_ga
 from qwtopo.graph import CouplingString, TopologyKind, TopologySpec, build_topology
 from qwtopo.measurement import (
     NoiseConfig,
@@ -18,6 +19,7 @@ from qwtopo.measurement import (
     monte_carlo_sweep,
     sample_noisy_distribution,
 )
+from qwtopo.seeding import derive_seed
 
 
 def test_default_thresholds_geometric() -> None:
@@ -186,3 +188,22 @@ def test_monte_carlo_sweep_halting_monotone_in_threshold() -> None:
         tallies[t][Outcome.TP] + tallies[t][Outcome.FP] for t in sorted(tallies)
     ]
     assert positives == sorted(positives)
+
+
+def test_monte_carlo_sweep_matches_independent_runs() -> None:
+    # The sweep shares one score memo per noisy target; every run here
+    # starts from an empty one, and the tallies must not differ.
+    truth, psi0, grid = sweep_args(5)
+    noise = NoiseConfig(n_r=500, thresholds=(2e-3, 1e-2, 5e-2), mc_runs=3, inner_runs=2, seed=4)
+    ga = GAConfig(n_p=40, n_g=12, seed=0)
+    ideal = concatenated_distribution(truth, psi0, grid)
+    expected = {t: Counter() for t in noise.thresholds}
+    for mc in range(noise.mc_runs):
+        noise_rng = np.random.default_rng(derive_seed(noise.seed, 0, mc))
+        target = sample_noisy_distribution(ideal, noise.n_r, noise_rng)
+        for threshold in noise.thresholds:
+            for inner in range(noise.inner_runs):
+                cfg = replace(ga, threshold=threshold, seed=derive_seed(noise.seed, 1, mc, inner))
+                expected[threshold][classify_outcome(run_ga(target, psi0, grid, cfg), truth)] += 1
+    assert monte_carlo_sweep(truth, psi0, grid, ga, noise) == expected
+    assert len({tuple(sorted(tally.items(), key=str)) for tally in expected.values()}) > 1
