@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,10 @@ __all__ = ["cli_main"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit 1 instead of 2."""
+    """argparse variant: usage errors exit 1, not 2; no abbreviations (--threshold is not --thresholds)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def exit(self, status: int = 0, message: str | None = None):
         if message:
@@ -53,7 +57,7 @@ _GA_DEFAULT = GAConfig()
 _NOISE_DEFAULT = NoiseConfig()
 
 
-def _add_ga(parser: argparse.ArgumentParser) -> None:
+def _add_ga(parser: argparse.ArgumentParser, halt_and_seed: bool = True) -> None:
     d = _GA_DEFAULT
     parser.add_argument("--np", type=int, help="population size (default 2*n_c^2)")
     parser.add_argument("--pe", type=float, help=f"elitist fraction, default {d.p_e}")
@@ -61,11 +65,12 @@ def _add_ga(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pc", type=float, help=f"crossover probability, default {d.p_c}")
     parser.add_argument("--pm", type=float, help=f"per-gene mutation probability, default {d.p_m}")
     parser.add_argument("--ng", type=int, help=f"max generations, default {d.n_g}")
-    parser.add_argument("--threshold", type=float, help="halt threshold T (off by default)")
-    parser.add_argument("--seed", type=int, help=f"master RNG seed, default {d.seed}")
     parser.add_argument(
         "--metric", choices=["kld", "kolmogorov"], help=f"fitness metric, default {d.metric.value}"
     )
+    if halt_and_seed:
+        parser.add_argument("--threshold", type=float, help="halt threshold T (off by default)")
+        parser.add_argument("--seed", type=int, help=f"master RNG seed, default {d.seed}")
 
 
 def build_parser() -> _Parser:
@@ -101,10 +106,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="noise protocol: threshold sweep over MC samples")
     _add_common(p)
-    _add_ga(p)
+    _add_ga(p, halt_and_seed=False)
     p.add_argument("--topology", help="topology family")
     p.add_argument("--n", help="node count")
     d = _NOISE_DEFAULT
+    p.add_argument("--seed", type=int, dest="noise_seed", help=f"noise and search seed, default {d.seed}")
     p.add_argument("--nr", type=int, help=f"resources per time slice, default {d.n_r}")
     p.add_argument("--mc-runs", type=int, dest="mc_runs", help=f"Monte-Carlo samples, default {d.mc_runs}")
     p.add_argument(
@@ -132,32 +138,44 @@ def _load_config_file(path: str | None) -> dict:
     return obj
 
 
-def _pick(cli_value, file_section: dict, key: str, default):
+def _pick(cli_value, file_section: dict, key: str, default, kind: type | None = None):
+    """Flag, else config file, else default; a file value must be a ``kind`` (no bool) or the default."""
     if cli_value is not None:
         return cli_value
-    if key in file_section:
-        return file_section[key]
-    return default
+    value = file_section.get(key, default)
+    if kind is not None and value is not default and (isinstance(value, bool) or not isinstance(value, kind)):
+        raise ConfigError(f"config file value {key}={value!r} has the wrong type")
+    return value
+
+
+def _floats(value, what: str) -> tuple[float, ...]:
+    """Numbers from a comma-separated string or a JSON list."""
+    parts = value.split(",") if isinstance(value, str) else value
+    try:
+        return tuple(float(part) for part in parts)
+    except (TypeError, ValueError):
+        raise ConfigError(f"cannot parse {what} from {value!r}") from None
 
 
 def _ga_from(args, cfg: dict) -> GAConfig:
     """Flag, then the config file's "ga" section, then GAConfig's default."""
     ga = cfg.get("ga", {})
     d = _GA_DEFAULT
-    metric = _pick(getattr(args, "metric", None), ga, "metric", d.metric.value)
+    metric = _pick(args.metric, ga, "metric", d.metric.value)
     try:
         metric = Metric(metric)
     except ValueError:
         raise ConfigError(f"unknown metric {metric!r}; expected kld or kolmogorov") from None
     return GAConfig(
-        n_p=_pick(args.np, ga, "n_p", d.n_p),
-        p_e=_pick(args.pe, ga, "p_e", d.p_e),
-        k=_pick(args.k, ga, "k", d.k),
-        p_c=_pick(args.pc, ga, "p_c", d.p_c),
-        p_m=_pick(args.pm, ga, "p_m", d.p_m),
-        n_g=_pick(args.ng, ga, "n_g", d.n_g),
-        threshold=_pick(args.threshold, ga, "threshold", d.threshold),
-        seed=_pick(args.seed, ga, "seed", d.seed),
+        n_p=_pick(args.np, ga, "n_p", d.n_p, int),
+        p_e=_pick(args.pe, ga, "p_e", d.p_e, Real),
+        k=_pick(args.k, ga, "k", d.k, int),
+        p_c=_pick(args.pc, ga, "p_c", d.p_c, Real),
+        p_m=_pick(args.pm, ga, "p_m", d.p_m, Real),
+        n_g=_pick(args.ng, ga, "n_g", d.n_g, int),
+        # a sweep has neither flag; it rejects a threshold and ignores the seed
+        threshold=_pick(getattr(args, "threshold", None), ga, "threshold", d.threshold, Real),
+        seed=_pick(getattr(args, "seed", None), ga, "seed", d.seed, int),
         metric=metric,
     )
 
@@ -167,7 +185,7 @@ def _times_from(args, cfg: dict) -> TimeGrid:
     times = _pick(args.times, exp, "times", "0.5,0.6")
     if isinstance(times, str):
         return TimeGrid.parse(times)
-    return TimeGrid(tuple(float(t) for t in times))
+    return TimeGrid(_floats(times, "times"))
 
 
 def _probe_from(args, cfg: dict, recorded: str | None = None) -> str:
@@ -189,32 +207,31 @@ def _n_values_from(args, cfg: dict) -> tuple[int, ...]:
     value = _pick(args.n, cfg.get("experiment", {}), "n", None)
     if value is None:
         raise ConfigError("a node count is required (--n or config file)")
-    if isinstance(value, int):
-        return (value,)
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
+    parts = value if isinstance(value, list) else str(value).split(",")
     try:
-        return tuple(int(part) for part in str(value).split(","))
-    except ValueError:
+        return tuple(int(part) for part in parts)
+    except (TypeError, ValueError):
         raise ConfigError(f"cannot parse node counts from {value!r}") from None
+
+
+def _single_n_from(args, cfg: dict) -> int:
+    values = _n_values_from(args, cfg)
+    if len(values) != 1:
+        raise ConfigError(f"{args.command} takes a single node count, got {values}")
+    return values[0]
 
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config_file(args.config)
     spec = _topology_from(args, cfg)
-    values = _n_values_from(args, cfg)
-    if len(values) != 1:
-        raise ConfigError(f"simulate takes a single node count, got {values}")
-    n = values[0]
+    n = _single_n_from(args, cfg)
     grid = _times_from(args, cfg)
     probe = _probe_from(args, cfg)
-    truth = build_topology(spec, n)
-    psi0 = make_probe(probe, n)
-    dist = concatenated_distribution(truth, psi0, grid)
-    nr = _pick(args.nr, cfg.get("noise", {}), "n_r", None)
+    dist = concatenated_distribution(build_topology(spec, n), make_probe(probe, n), grid)
+    nr = _pick(args.nr, cfg.get("noise", {}), "n_r", None, int)
     if nr is not None:
-        seed = _pick(args.seed, cfg.get("noise", {}), "seed", _NOISE_DEFAULT.seed)
-        dist = sample_noisy_distribution(dist, int(nr), np.random.default_rng(seed))
+        seed = _pick(args.seed, cfg.get("noise", {}), "seed", _NOISE_DEFAULT.seed, int)
+        dist = sample_noisy_distribution(dist, nr, np.random.default_rng(seed))
     print(json.dumps([float(p) for p in dist.flat]))
     if args.output:
         write_target(args.output, dist, grid, probe)
@@ -223,7 +240,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     cfg = _load_config_file(args.config)
-    ga = _ga_from(args, cfg)
     target_path = _pick(args.target, cfg.get("experiment", {}), "target", None)
     if target_path and (args.topology or args.n):
         raise ConfigError("give either --target or --topology/--n, not both")
@@ -235,33 +251,29 @@ def _cmd_reconstruct(args) -> int:
         n = target.n
     else:
         spec = _topology_from(args, cfg)
-        values = _n_values_from(args, cfg)
-        if len(values) != 1:
-            raise ConfigError(f"reconstruct takes a single node count, got {values}")
-        n = values[0]
+        n = _single_n_from(args, cfg)
         grid = _times_from(args, cfg)
         probe = _probe_from(args, cfg)
         target = concatenated_distribution(build_topology(spec, n), make_probe(probe, n), grid)
-    psi0 = make_probe(probe, n)
-    result = run_ga(target, psi0, grid, ga)
-    print(
-        json.dumps(
-            {
-                "chromosome": result.best_chromosome.to_bitstring(),
-                "halted_by": result.halted_by.value,
-                "score": result.best_score,
-                "generations": result.generations_used,
-                "evaluations": result.evaluations,
-            },
-            sort_keys=True,
-        )
-    )
+    result = run_ga(target, make_probe(probe, n), grid, _ga_from(args, cfg))
+    summary = {
+        "chromosome": result.best_chromosome.to_bitstring(),
+        "halted_by": result.halted_by.value,
+        "score": result.best_score,
+        "generations": result.generations_used,
+        "evaluations": result.evaluations,
+    }
+    print(json.dumps(summary, sort_keys=True))
     return 0
 
 
-def _format_from(args, cfg: dict) -> ReportFormat:
-    fmt = _pick(args.format, cfg.get("experiment", {}), "format", "csv")
-    return ReportFormat(fmt)
+def _write_report(args, cfg: dict, report) -> int:
+    """Write the report to --output (or experiment.output), if given."""
+    exp = cfg.get("experiment", {})
+    output = _pick(args.output, exp, "output", None)
+    if output:
+        emit_report(report, ReportFormat(_pick(args.format, exp, "format", "csv")), output)
+    return 0
 
 
 def _cmd_benchmark(args) -> int:
@@ -270,7 +282,7 @@ def _cmd_benchmark(args) -> int:
         topology=_topology_from(args, cfg),
         n_values=_n_values_from(args, cfg),
         times=_times_from(args, cfg),
-        runs=_pick(args.runs, cfg.get("experiment", {}), "runs", ExperimentSpec.runs),
+        runs=_pick(args.runs, cfg.get("experiment", {}), "runs", ExperimentSpec.runs, int),
         ga=_ga_from(args, cfg),
         probe=_probe_from(args, cfg),
     )
@@ -281,49 +293,35 @@ def _cmd_benchmark(args) -> int:
             f"{entry.topology} n={entry.n}: success_rate={entry.success_rate:.3f} "
             f"mean_generations={mean}"
         )
-    output = _pick(args.output, cfg.get("experiment", {}), "output", None)
-    if output:
-        emit_report(report, _format_from(args, cfg), output)
-    return 0
+    return _write_report(args, cfg, report)
 
 
 def _noise_from(args, cfg: dict) -> NoiseConfig:
     """Flag, then the config file's "noise" section, then NoiseConfig's default."""
     noise = cfg.get("noise", {})
     d = _NOISE_DEFAULT
-    thresholds = _pick(args.thresholds, noise, "thresholds", None)
-    if isinstance(thresholds, str):
-        try:
-            thresholds = tuple(float(part) for part in thresholds.split(","))
-        except ValueError:
-            raise ConfigError(f"cannot parse thresholds from {thresholds!r}") from None
     return NoiseConfig(
-        n_r=_pick(args.nr, noise, "n_r", d.n_r),
-        thresholds=tuple(thresholds or ()),
-        mc_runs=_pick(args.mc_runs, noise, "mc_runs", d.mc_runs),
-        inner_runs=_pick(args.inner_runs, noise, "inner_runs", d.inner_runs),
-        seed=_pick(args.seed, noise, "seed", d.seed),
+        n_r=_pick(args.nr, noise, "n_r", d.n_r, int),
+        thresholds=_floats(_pick(args.thresholds, noise, "thresholds", []), "thresholds"),
+        mc_runs=_pick(args.mc_runs, noise, "mc_runs", d.mc_runs, int),
+        inner_runs=_pick(args.inner_runs, noise, "inner_runs", d.inner_runs, int),
+        seed=_pick(args.noise_seed, noise, "seed", d.seed, int),
     )
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config_file(args.config)
-    spec = ExperimentSpec(
-        topology=_topology_from(args, cfg),
-        n_values=_n_values_from(args, cfg),
-        times=_times_from(args, cfg),
-        runs=1,
-        ga=_ga_from(args, cfg),
-        noise=_noise_from(args, cfg),
-        probe=_probe_from(args, cfg),
+    report = benchmark_noisy(
+        _topology_from(args, cfg),
+        _single_n_from(args, cfg),
+        _times_from(args, cfg),
+        _ga_from(args, cfg),
+        _noise_from(args, cfg),
+        _probe_from(args, cfg),
     )
-    report = benchmark_noisy(spec)
     for threshold, tally in report.tallies.items():
         print(f"T={threshold:.6g}: " + " ".join(f"{o.value}={tally[o]}" for o in Outcome))
-    output = _pick(args.output, cfg.get("experiment", {}), "output", None)
-    if output:
-        emit_report(report, _format_from(args, cfg), output)
-    return 0
+    return _write_report(args, cfg, report)
 
 
 def cli_main(argv: list[str] | None = None) -> int:

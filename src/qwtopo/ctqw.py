@@ -143,7 +143,7 @@ class ProbeState:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing, non-negative evolution times."""
+    """Strictly increasing, finite, non-negative evolution times."""
 
     times: tuple[float, ...]
 
@@ -151,8 +151,8 @@ class TimeGrid:
         times = tuple(float(t) for t in self.times)
         if not times:
             raise ShapeError("time grid needs at least one time")
-        if any(t < 0 for t in times):
-            raise ShapeError(f"times must be >= 0: {times}")
+        if not all(0 <= t < np.inf for t in times):
+            raise ShapeError(f"times must be finite and >= 0: {times}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ShapeError(f"times must be strictly increasing: {times}")
         object.__setattr__(self, "times", times)
@@ -164,9 +164,10 @@ class TimeGrid:
     def parse(cls, text: str) -> TimeGrid:
         """Parse a comma-separated list such as ``\"0.5,0.6,1\"``."""
         try:
-            return cls(tuple(float(part) for part in text.split(",")))
+            times = tuple(float(part) for part in text.split(","))
         except ValueError:
             raise ShapeError(f"cannot parse time grid {text!r}") from None
+        return cls(times)
 
 
 @dataclass(eq=False)
@@ -179,8 +180,8 @@ class SiteDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size < 1:
             raise ShapeError(f"probabilities must be a nonempty vector, got shape {probs.shape}")
-        if (probs < 0).any():
-            raise ValueError(f"negative probability in {probs}")
+        if not (probs >= 0).all():
+            raise ValueError(f"negative or NaN probability in {probs}")
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
@@ -359,6 +360,8 @@ def _chebyshev_weights(n: int, times: tuple[float, ...]) -> tuple[float, np.ndar
     """
     scale = float(max(n - 1, 1))
     x = scale * np.asarray(times)
+    if not np.isfinite(x).all():
+        raise ShapeError(f"times must be finite: {times}")
     terms = _term_count(float(x.max()))
     points = 2 * terms
     k = np.arange(terms)

@@ -68,7 +68,7 @@ class GAConfig:
             raise ConfigError(f"mutation probability must be in [0, 1], got {self.p_m}")
         if self.n_g < 1:
             raise ConfigError(f"generation budget must be >= 1, got {self.n_g}")
-        if self.threshold is not None and self.threshold < 0:
+        if self.threshold is not None and not self.threshold >= 0:
             raise ConfigError(f"threshold must be >= 0, got {self.threshold}")
         if not isinstance(self.metric, Metric):
             raise ConfigError(f"metric must be a Metric, got {self.metric!r}")

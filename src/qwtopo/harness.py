@@ -19,7 +19,7 @@ import numpy as np
 from .ctqw import ConcatenatedDistribution, ProbeState, TimeGrid, concatenated_distribution
 from .errors import ConfigError
 from .ga import GAConfig, run_ga
-from .graph import CouplingString, TopologySpec, build_topology
+from .graph import TopologySpec, build_topology
 from .measurement import NoiseConfig, Outcome, monte_carlo_sweep
 from .seeding import derive_seed, label_code
 
@@ -77,14 +77,13 @@ def run_seed(master_seed: int, topology_label: str, n: int, run: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One benchmark request: topology family, sizes, protocol knobs."""
+    """One noiseless benchmark request: topology family, sizes, protocol knobs."""
 
     topology: TopologySpec
     n_values: tuple[int, ...]
     times: TimeGrid = field(default_factory=lambda: TimeGrid((0.5, 0.6)))
     runs: int = 100
     ga: GAConfig = field(default_factory=GAConfig)
-    noise: NoiseConfig | None = None
     probe: str = "ramp"
 
     def __post_init__(self) -> None:
@@ -141,7 +140,6 @@ class BenchmarkReport:
 @dataclass(frozen=True)
 class SweepReport:
     config: dict
-    n_r: int
     tallies: dict[float, Counter[Outcome]]
 
 
@@ -156,8 +154,6 @@ def benchmark_noiseless(spec: ExperimentSpec) -> BenchmarkReport:
     with the master seed taken from spec.ga.seed; success means the
     returned chromosome equals the true coupling string.
     """
-    if spec.noise is not None:
-        raise ConfigError("noiseless benchmark got a noise config; use benchmark_noisy")
     label = spec.topology.label()
     entries = []
     for n in spec.n_values:
@@ -194,28 +190,29 @@ def benchmark_noiseless(spec: ExperimentSpec) -> BenchmarkReport:
     return BenchmarkReport(config=config, entries=tuple(entries))
 
 
-def benchmark_noisy(spec: ExperimentSpec) -> SweepReport:
-    """Threshold sweep over Monte-Carlo noise samples for one size."""
-    if spec.noise is None:
-        raise ConfigError("noisy benchmark requires a noise config")
-    if spec.ga.threshold is not None:
-        raise ConfigError("a sweep sets the halt thresholds itself; drop the GA threshold")
-    if len(spec.n_values) != 1:
-        raise ConfigError(f"sweep handles one network size at a time, got {spec.n_values}")
-    n = spec.n_values[0]
-    truth = build_topology(spec.topology, n)
-    psi0 = make_probe(spec.probe, n)
-    tallies = monte_carlo_sweep(truth, psi0, spec.times, spec.ga, spec.noise)
+def benchmark_noisy(
+    topology: TopologySpec,
+    n: int,
+    times: TimeGrid,
+    ga: GAConfig,
+    noise: NoiseConfig,
+    probe: str = "ramp",
+) -> SweepReport:
+    """Threshold sweep over Monte-Carlo noise samples for one size.
+
+    The echo of ``ga`` leaves out the seed and threshold the sweep sets.
+    """
+    tallies = monte_carlo_sweep(build_topology(topology, n), make_probe(probe, n), times, ga, noise)
     config = {
         "protocol": "sweep",
-        "topology": spec.topology.label(),
+        "topology": topology.label(),
         "n_values": [n],
-        "times": list(spec.times.times),
-        "probe": spec.probe,
-        "ga": _ga_echo(spec.ga),
-        "noise": {**asdict(spec.noise), "thresholds": list(spec.noise.thresholds)},
+        "times": list(times.times),
+        "probe": probe,
+        "ga": {k: v for k, v in _ga_echo(ga).items() if k not in ("seed", "threshold")},
+        "noise": {**asdict(noise), "thresholds": list(noise.thresholds)},
     }
-    return SweepReport(config=config, n_r=spec.noise.n_r, tallies=tallies)
+    return SweepReport(config=config, tallies=tallies)
 
 
 def resolve_output_path(path: str | Path) -> Path:
@@ -245,8 +242,9 @@ def _benchmark_csv(report: BenchmarkReport) -> str:
 
 def _sweep_rows(report: SweepReport) -> list[dict]:
     """One row per threshold, in SWEEP_CSV_HEADER's column order."""
+    n_r = report.config["noise"]["n_r"]
     return [
-        {"threshold": t, "N_r": report.n_r, **{o.value: tally[o] for o in Outcome}, "total": tally.total()}
+        {"threshold": t, "N_r": n_r, **{o.value: tally[o] for o in Outcome}, "total": tally.total()}
         for t, tally in report.tallies.items()
     ]
 
@@ -318,7 +316,7 @@ def report_from_json(text: str) -> BenchmarkReport | SweepReport:
             if row["threshold"] in tallies:
                 raise ConfigError(f"sweep has more than one row for threshold {row['threshold']!r}")
             tallies[row["threshold"]] = tally
-        return SweepReport(config=config, n_r=config["noise"]["n_r"], tallies=tallies)
+        return SweepReport(config=config, tallies=tallies)
     entries = []
     for res in obj["results"]:
         try:

@@ -53,10 +53,8 @@ class NoiseConfig:
     def __post_init__(self) -> None:
         if self.n_r < 1:
             raise ConfigError(f"resource count must be >= 1, got {self.n_r}")
-        if not self.thresholds:
-            object.__setattr__(self, "thresholds", default_thresholds())
-        thresholds = tuple(float(t) for t in self.thresholds)
-        if any(t <= 0 for t in thresholds):
+        thresholds = tuple(float(t) for t in self.thresholds or default_thresholds())
+        if not all(t > 0 for t in thresholds):
             raise ConfigError(f"thresholds must be > 0: {thresholds}")
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ConfigError(f"thresholds must be strictly increasing: {thresholds}")
@@ -126,8 +124,11 @@ def monte_carlo_sweep(
     deterministically from (noise.seed, mc index, inner index), so a
     given inner run differs across thresholds only in when it halts.
     All searches against one target share one score memo, so a genome
-    is propagated at most once per target.
+    is propagated at most once per target.  The sweep sets every search's
+    seed and threshold: the seed of ``ga`` is unused, a threshold rejected.
     """
+    if ga.threshold is not None:
+        raise ConfigError("a sweep sets the halt thresholds itself; drop the GA threshold")
     ideal = concatenated_distribution(truth, psi0, grid)
     tallies = {t: Counter() for t in noise.thresholds}
     for mc in range(noise.mc_runs):
@@ -139,6 +140,4 @@ def monte_carlo_sweep(
                 cfg = replace(ga, threshold=threshold, seed=derive_seed(noise.seed, 1, mc, inner))
                 result = run_ga(target, psi0, grid, cfg, cache=cache)
                 tallies[threshold][classify_outcome(result, truth)] += 1
-    if noise.mc_runs == 0:
-        return {}
-    return tallies
+    return tallies if noise.mc_runs else {}

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -293,12 +295,87 @@ def test_sweep_small_run(capsys, tmp_path: Path) -> None:
 
 def test_sweep_rejects_a_ga_threshold(capsys, tmp_path: Path) -> None:
     argv = ["sweep", "--topology", "star", "--n", "3", "--mc-runs", "1", "--inner-runs", "1"]
+    # sweep has no --threshold flag, and no abbreviation turns it into --thresholds
     code, _, err = run_cli(capsys, *argv, "--threshold", "0.5")
-    assert code == 1 and "GA threshold" in err
+    assert code == 1 and "unrecognized arguments: --threshold" in err
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"ga": {"threshold": 0.5}}))
     code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
     assert code == 1 and "GA threshold" in err
+
+
+def test_sweep_help_lists_no_ga_threshold(capsys) -> None:
+    code, out, _ = run_cli(capsys, "sweep", "--help")
+    assert code == 0 and "--thresholds" in out
+    assert re.search(r"--threshold\b", out) is None
+
+
+def test_sweep_seed_is_the_noise_seed(capsys, tmp_path: Path) -> None:
+    out_file = tmp_path / "sweep.json"
+    argv = [
+        "sweep", "--topology", "star", "--n", "3", "--mc-runs", "2", "--inner-runs", "1",
+        "--thresholds", "0.01,0.1", "--np", "8", "--ng", "2", "--seed", "7",
+        "--format", "json", "--output", str(out_file),
+    ]
+    assert run_cli(capsys, *argv)[0] == 0
+    report = out_file.read_bytes()
+    config = json.loads(report)["config"]
+    assert config["noise"]["seed"] == 7
+    assert "seed" not in config["ga"] and "threshold" not in config["ga"]
+    # a config file's ga.seed reaches no search
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ga": {"seed": 5}}))
+    assert run_cli(capsys, *argv, "--config", str(cfg))[0] == 0
+    assert out_file.read_bytes() == report
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("reconstruct", {"experiment": {"times": 0.5}}),
+        ("reconstruct", {"ga": {"n_p": "200"}}),
+        ("sweep", {"noise": {"thresholds": 0.01}}),
+        ("reconstruct", {"ga": {"n_g": 2.5}}),
+    ],
+)
+def test_config_file_value_of_wrong_type_exits_one(capsys, tmp_path: Path, command: str, cfg: dict) -> None:
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, command, "--topology", "star", "--n", "3", "--config", str(cfg_file))
+    assert code == 1
+    assert err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("times", ["nan", "0.5,nan", "0.5,inf"])
+def test_simulate_rejects_non_finite_times(capsys, times: str) -> None:
+    code, out, err = run_cli(capsys, "simulate", "--topology", "star", "--n", "3", "--times", times)
+    assert code == 1 and out == "" and "finite" in err
+
+
+def test_simulate_infinite_time_exits_at_once() -> None:
+    # --times inf used to loop forever counting Chebyshev terms
+    proc = subprocess.run(
+        [sys.executable, "-m", "qwtopo.cli", "simulate", "--topology", "star", "--n", "3", "--times", "inf"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1 and "finite" in proc.stderr
+
+
+@pytest.mark.parametrize("edit", ["time Infinity", "slice NaN"])
+def test_reconstruct_rejects_a_non_finite_target_file(capsys, tmp_path: Path, edit: str) -> None:
+    target_file = tmp_path / "target.json"
+    assert run_cli(capsys, "simulate", "--topology", "star", "--n", "3", "--output", str(target_file))[0] == 0
+    obj = json.loads(target_file.read_text())
+    if edit == "time Infinity":
+        obj["times"][1] = math.inf
+    else:
+        obj["slices"][0][0] = math.nan
+    target_file.write_text(json.dumps(obj))
+    assert edit.split()[1] in target_file.read_text()
+    code, out, err = run_cli(capsys, "reconstruct", "--target", str(target_file))
+    assert code == 1 and out == "" and err.startswith("error:")
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path: Path) -> None:

@@ -82,6 +82,28 @@ def test_time_grid_parse() -> None:
         TimeGrid.parse("0.5,x")
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_time_grid_rejects_non_finite_times(bad: float) -> None:
+    with pytest.raises(ShapeError, match="finite"):
+        TimeGrid((0.5, bad))
+    with pytest.raises(ShapeError, match="finite"):
+        TimeGrid.parse(f"{bad},0.5")
+
+
+@pytest.mark.parametrize("times", [(0.5, math.inf), (math.nan,)])
+def test_batch_propagation_rejects_non_finite_times(times: tuple[float, ...]) -> None:
+    # The batch path takes a raw tuple, not a TimeGrid; an infinite a*t
+    # would never end the Chebyshev term count.
+    with pytest.raises(ShapeError, match="finite"):
+        batch_site_distributions(np.ones((1, 3), dtype=np.uint8), 3, ProbeState.ramp(3).amplitudes, times)
+
+
+@pytest.mark.parametrize("probs", [[math.nan, 0.5], [0.5, 0.5, math.nan], [math.inf, 0.0], [math.inf, -math.inf]])
+def test_site_distribution_rejects_non_finite(probs: list[float]) -> None:
+    with pytest.raises(ValueError):
+        SiteDistribution(np.array(probs))
+
+
 def test_site_distribution_validation() -> None:
     with pytest.raises(ValueError):
         SiteDistribution(np.array([0.5, 0.6]))

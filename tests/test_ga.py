@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -32,6 +33,12 @@ from qwtopo.measurement import sample_noisy_distribution
 def test_ga_config_rejects_bad_values(kwargs) -> None:
     with pytest.raises(ConfigError):
         GAConfig(**kwargs)
+
+
+def test_ga_config_rejects_a_nan_threshold_but_not_inf() -> None:
+    with pytest.raises(ConfigError):
+        GAConfig(threshold=math.nan)
+    assert GAConfig(threshold=math.inf).threshold == math.inf
 
 
 def test_ga_config_population_default_rule() -> None:

@@ -27,6 +27,8 @@ _LINE = (
     "--metric", "kolmogorov", "--times", "0.5,0.6,1",
 )
 _SWEEP = ("sweep", "--topology", "star", "--n", "5", "--mc-runs", "3")
+# The sweep's one seed: noise samples and, through them, every search.
+_SWEEP_SEED = (*_SWEEP, "--seed", "3")
 
 # File name -> command; the suffix picks the report format.
 GOLDEN = {
@@ -36,6 +38,8 @@ GOLDEN = {
     "benchmark_line_n4_site0_kolmogorov.json": _LINE,
     "sweep_star_n5.csv": _SWEEP,
     "sweep_star_n5.json": _SWEEP,
+    "sweep_star_n5_seed3.csv": _SWEEP_SEED,
+    "sweep_star_n5_seed3.json": _SWEEP_SEED,
 }
 
 

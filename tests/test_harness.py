@@ -92,12 +92,6 @@ def test_benchmark_noiseless_small_star() -> None:
     assert report.config["times"] == [0.5, 0.6]
 
 
-def test_benchmark_noiseless_rejects_noise() -> None:
-    spec = dataclasses.replace(small_spec(), noise=NoiseConfig(mc_runs=1))
-    with pytest.raises(ConfigError):
-        benchmark_noiseless(spec)
-
-
 def test_benchmark_entry_stats_without_successes() -> None:
     # n_g=0 is invalid, so force failure with a hopeless population cap
     spec = dataclasses.replace(
@@ -112,30 +106,17 @@ def test_benchmark_entry_stats_without_successes() -> None:
         assert entry.generations_std is None
 
 
-def test_benchmark_noisy_requires_noise_and_single_n() -> None:
-    with pytest.raises(ConfigError):
-        benchmark_noisy(small_spec())
-    base = small_spec()
-    with pytest.raises(ConfigError):
-        benchmark_noisy(
-            dataclasses.replace(
-                base, n_values=(4, 5), noise=NoiseConfig(mc_runs=1)
-            )
-        )
-    # the sweep sets the threshold of every run, so a GA threshold would be ignored
-    with pytest.raises(ConfigError, match="GA threshold"):
-        benchmark_noisy(
-            dataclasses.replace(base, ga=GAConfig(threshold=0.5), noise=NoiseConfig(mc_runs=1))
-        )
+def small_sweep(noise: NoiseConfig, ga: GAConfig = GAConfig(n_p=8, n_g=2)) -> SweepReport:
+    return benchmark_noisy(TopologySpec(TopologyKind.STAR), 4, TimeGrid((0.5, 0.6)), ga, noise)
 
 
 def test_benchmark_noisy_small() -> None:
     noise = NoiseConfig(n_r=200, thresholds=(1e-2,), mc_runs=2, inner_runs=2, seed=1)
-    spec = dataclasses.replace(
-        small_spec(), ga=GAConfig(n_p=10, n_g=2), noise=noise
-    )
-    report = benchmark_noisy(spec)
-    assert report.n_r == 200
+    report = small_sweep(noise, GAConfig(n_p=10, n_g=2))
+    assert report.config["noise"]["n_r"] == 200
+    # the sweep sets each search's seed and threshold, so the GA echo holds neither
+    assert "seed" not in report.config["ga"] and "threshold" not in report.config["ga"]
+    assert report.config["ga"]["n_p"] == 10
     assert set(report.tallies) == {1e-2}
     assert report.tallies[1e-2].total() == 4
     assert set(report.tallies[1e-2]) <= set(Outcome)
@@ -163,8 +144,7 @@ def test_benchmark_csv_empty_entries() -> None:
 
 def test_sweep_csv_layout(tmp_path: Path) -> None:
     noise = NoiseConfig(n_r=100, thresholds=(1e-3, 1e-1), mc_runs=1, inner_runs=2, seed=0)
-    spec = dataclasses.replace(small_spec(), ga=GAConfig(n_p=8, n_g=2), noise=noise)
-    report = benchmark_noisy(spec)
+    report = small_sweep(noise)
     out = emit_report(report, ReportFormat.CSV, tmp_path / "sweep.csv")
     lines = out.read_text().splitlines()
     assert lines[0] == SWEEP_CSV_HEADER
@@ -186,8 +166,7 @@ def test_benchmark_json_round_trip(tmp_path: Path) -> None:
 
 def test_sweep_json_round_trip(tmp_path: Path) -> None:
     noise = NoiseConfig(n_r=100, thresholds=(1e-2,), mc_runs=1, inner_runs=1, seed=2)
-    spec = dataclasses.replace(small_spec(), ga=GAConfig(n_p=8, n_g=2), noise=noise)
-    report = benchmark_noisy(spec)
+    report = small_sweep(noise)
     out = emit_report(report, ReportFormat.JSON, tmp_path / "sweep.json")
     loaded = report_from_json(out.read_text())
     assert isinstance(loaded, SweepReport)
@@ -197,8 +176,7 @@ def test_sweep_json_round_trip(tmp_path: Path) -> None:
 
 def test_sweep_json_total_must_match_counts() -> None:
     noise = NoiseConfig(n_r=100, thresholds=(1e-2, 1e-1), mc_runs=1, inner_runs=2, seed=2)
-    spec = dataclasses.replace(small_spec(), ga=GAConfig(n_p=8, n_g=2), noise=noise)
-    obj = json.loads(report_to_text(benchmark_noisy(spec), ReportFormat.JSON))
+    obj = json.loads(report_to_text(small_sweep(noise), ReportFormat.JSON))
     obj["results"][1]["total"] += 1
     with pytest.raises(ConfigError, match="total"):
         report_from_json(json.dumps(obj))

@@ -1,6 +1,8 @@
 """Shot noise, outcome classification, and threshold sweeps."""
 from __future__ import annotations
 
+import hashlib
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from qwtopo.ctqw import ConcatenatedDistribution, ProbeState, TimeGrid, concatenated_distribution
+from qwtopo import measurement
 from qwtopo.errors import ConfigError
 from qwtopo.ga import GAConfig, HaltReason, RunResult, run_ga
 from qwtopo.graph import CouplingString, TopologyKind, TopologySpec, build_topology
@@ -45,6 +48,14 @@ def test_noise_config_validation() -> None:
     with pytest.raises(ConfigError):
         NoiseConfig(thresholds=(0.0, 0.1))
     assert NoiseConfig().thresholds == default_thresholds()
+
+
+def test_noise_config_rejects_nan_thresholds_but_not_inf() -> None:
+    with pytest.raises(ConfigError):
+        NoiseConfig(thresholds=(math.nan,))
+    with pytest.raises(ConfigError):
+        NoiseConfig(thresholds=(0.1, math.nan))
+    assert NoiseConfig(thresholds=(0.1, math.inf)).thresholds == (0.1, math.inf)
 
 
 def two_slice_target(n: int = 4) -> ConcatenatedDistribution:
@@ -155,6 +166,14 @@ def test_monte_carlo_sweep_zero_runs() -> None:
     assert monte_carlo_sweep(truth, psi0, grid, GAConfig(n_p=4), noise) == {}
 
 
+def test_monte_carlo_sweep_rejects_a_ga_threshold() -> None:
+    # the sweep sets every search's threshold, so a GA threshold would be ignored
+    truth, psi0, grid = sweep_args()
+    noise = NoiseConfig(mc_runs=1, inner_runs=1)
+    with pytest.raises(ConfigError, match="GA threshold"):
+        monte_carlo_sweep(truth, psi0, grid, GAConfig(threshold=0.5), noise)
+
+
 def test_monte_carlo_sweep_deterministic() -> None:
     truth, psi0, grid = sweep_args()
     noise = NoiseConfig(n_r=200, thresholds=(1e-2,), mc_runs=3, inner_runs=2, seed=5)
@@ -207,3 +226,35 @@ def test_monte_carlo_sweep_matches_independent_runs() -> None:
                 expected[threshold][classify_outcome(run_ga(target, psi0, grid, cfg), truth)] += 1
     assert monte_carlo_sweep(truth, psi0, grid, ga, noise) == expected
     assert len({tuple(sorted(tally.items(), key=str)) for tally in expected.values()}) > 1
+
+
+# SHA-256 of the per-search record below; a sweep report holds only
+# tallies, so a change to any search that leaves the counts equal would
+# pass the golden sweep files unseen.
+SWEEP_SEARCHES_SHA256 = "014a13db589870c29b1e15374a3a20f92a3da96c922933dd6fa2d87b67be7ade"
+
+
+def test_monte_carlo_sweep_searches_are_pinned(monkeypatch) -> None:
+    calls = []
+    real_run_ga = measurement.run_ga
+
+    def recording_run_ga(target, psi0, grid, config, **kwargs):
+        result = real_run_ga(target, psi0, grid, config, **kwargs)
+        calls.append(
+            (
+                config.threshold,
+                config.seed,
+                result.best_chromosome.to_bitstring(),
+                repr(result.best_score),
+                result.generations_used,
+                result.halted_by.value,
+                result.evaluations,
+            )
+        )
+        return result
+
+    monkeypatch.setattr(measurement, "run_ga", recording_run_ga)
+    truth, psi0, grid = sweep_args(5)
+    monte_carlo_sweep(truth, psi0, grid, GAConfig(), NoiseConfig(mc_runs=3, inner_runs=2))
+    assert len(calls) == 3 * 2 * len(default_thresholds())
+    assert hashlib.sha256(repr(calls).encode()).hexdigest() == SWEEP_SEARCHES_SHA256
