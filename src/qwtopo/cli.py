@@ -207,11 +207,20 @@ def _n_values_from(args, cfg: dict) -> tuple[int, ...]:
     value = _pick(args.n, cfg.get("experiment", {}), "n", None)
     if value is None:
         raise ConfigError("a node count is required (--n or config file)")
-    parts = value if isinstance(value, list) else str(value).split(",")
-    try:
-        return tuple(int(part) for part in parts)
-    except (TypeError, ValueError):
-        raise ConfigError(f"cannot parse node counts from {value!r}") from None
+    parts = value.split(",") if isinstance(value, str) else value if isinstance(value, list) else [value]
+    return tuple(_node_count(part) for part in parts)
+
+
+def _node_count(part) -> int:
+    """A whole node count from a flag's text or a JSON number; a JSON 5.0 is 5, 4.5 an error."""
+    if isinstance(part, float) and part.is_integer():
+        part = int(part)
+    if isinstance(part, (int, str)) and not isinstance(part, bool):
+        try:
+            return int(part)
+        except ValueError:
+            pass
+    raise ConfigError(f"node count must be a whole number, got {part!r}")
 
 
 def _single_n_from(args, cfg: dict) -> int:

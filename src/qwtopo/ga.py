@@ -10,7 +10,9 @@ zero fitness, or after n_g generations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +26,7 @@ __all__ = [
     "HaltReason",
     "GAConfig",
     "RunResult",
+    "SearchMemo",
     "run_ga",
 ]
 
@@ -165,12 +168,34 @@ def _evaluate(
     return scores, len(new_keys)
 
 
+class _Record(NamedTuple):
+    """One generation of a search, as the halt test reads it."""
+
+    current: float  # this generation's best score
+    best_score: float  # best score seen up to and including it
+    best_bits: np.ndarray  # the genome that scored best_score
+    fresh: int  # genomes this generation added to the score memo
+
+
+@dataclass
+class SearchMemo:
+    """What searches against one target, probe, times and metric share.
+
+    ``scores`` maps genome bytes to score.  ``runs`` maps a config with
+    its threshold dropped to that search's records so far and the
+    suspended generator that makes the next one.
+    """
+
+    scores: dict[bytes, float] = field(default_factory=dict)
+    runs: dict[GAConfig, tuple[list[_Record], Iterator[_Record]]] = field(default_factory=dict)
+
+
 def run_ga(
     target: ConcatenatedDistribution,
     psi0: ProbeState,
     grid: TimeGrid,
     config: GAConfig,
-    cache: dict[bytes, float] | None = None,
+    cache: SearchMemo | None = None,
 ) -> RunResult:
     """Search for the coupling string whose walk statistics match the target.
 
@@ -182,11 +207,14 @@ def run_ga(
     distinct genomes scored; repeats are served from a memo and cost
     nothing.
 
-    ``cache`` is the memo of scores by genome bytes, empty by default.
-    Runs against the same target, probe, times and metric may share
-    one, since a score depends on nothing else and a row's distribution
-    does not depend on its batch; ``evaluations`` then counts only the
-    genomes that were not in it yet.
+    ``cache`` is the memo, fresh by default.  Runs against the same
+    target, probe, times and metric may share one, since a score depends
+    on nothing else and a row's distribution does not depend on its
+    batch; ``evaluations`` then counts only the genomes that were not
+    in it yet.  The threshold is tested before breeding and draws no
+    random numbers, so searches that differ only in threshold follow
+    one trajectory: the memo records it, and a search replays the
+    recorded prefix and breeds only the generations past it.
     """
     n = target.n
     if psi0.n != n:
@@ -199,52 +227,67 @@ def run_ga(
     n_p = config.resolved_n_p(n_c)
     if n_p < 2:
         raise ConfigError(f"population size must be >= 2, got {n_p}")
-    e = config.elite_count(n_p)
 
-    rng = np.random.default_rng(config.seed)
-    bits = rng.integers(0, 2, size=(n_p, n_c), dtype=np.uint8)
-    target_flat = target.flat
     if cache is None:
-        cache = {}
+        cache = SearchMemo()
+    search = replace(config, threshold=None)
+    if search not in cache.runs:
+        cache.runs[search] = ([], _generations(target, psi0, grid, search, n_p, cache.scores))
+    records, steps = cache.runs[search]
     evaluations = 0
+    for gen in range(config.n_g):
+        if gen == len(records):
+            records.append(next(steps))
+            evaluations += records[gen].fresh
+        record = records[gen]
+        if config.threshold is not None and record.current < config.threshold:
+            return _result(record, n, gen, HaltReason.THRESHOLD, evaluations)
+        if record.current < ZERO_TOL:
+            return _result(record, n, gen, HaltReason.ZERO_FITNESS, evaluations)
+    return _result(records[-1], n, config.n_g, HaltReason.MAX_GENERATIONS, evaluations)
+
+
+def _generations(
+    target: ConcatenatedDistribution,
+    psi0: ProbeState,
+    grid: TimeGrid,
+    config: GAConfig,
+    n_p: int,
+    scores_memo: dict[bytes, float],
+) -> Iterator[_Record]:
+    """The search's records, one per generation up to n_g.
+
+    Generation g + 1 is bred only when its record is pulled, so the
+    random stream is drawn only as far as some search has needed it.
+    """
+    n = target.n
+    e = config.elite_count(n_p)
+    target_flat = target.flat
+    rng = np.random.default_rng(config.seed)
+    bits = rng.integers(0, 2, size=(n_p, n * (n - 1) // 2), dtype=np.uint8)
     best_score = np.inf
     best_bits = bits[0]
-
     for gen in range(config.n_g):
+        if gen:
+            order = np.argsort(scores, kind="stable")[:e]
+            elites = bits[order]
+            children = _breed(bits, scores, n_p - e, config, rng)
+            bits = np.concatenate([elites, children], axis=0)
         scores, fresh = _evaluate(
-            bits, cache, n, psi0.amplitudes, grid.times, target_flat, config.metric
+            bits, scores_memo, n, psi0.amplitudes, grid.times, target_flat, config.metric
         )
-        evaluations += fresh
         leader = int(np.argmin(scores))
         current = float(scores[leader])
         if current < best_score:
             best_score = current
             best_bits = bits[leader].copy()
-        if config.threshold is not None and current < config.threshold:
-            return _result(best_bits, n, best_score, gen, HaltReason.THRESHOLD, evaluations)
-        if current < ZERO_TOL:
-            return _result(best_bits, n, best_score, gen, HaltReason.ZERO_FITNESS, evaluations)
-        if gen == config.n_g - 1:
-            break
-        order = np.argsort(scores, kind="stable")[:e]
-        elites = bits[order]
-        children = _breed(bits, scores, n_p - e, config, rng)
-        bits = np.concatenate([elites, children], axis=0)
-
-    return _result(best_bits, n, best_score, config.n_g, HaltReason.MAX_GENERATIONS, evaluations)
+        yield _Record(current, best_score, best_bits, fresh)
 
 
-def _result(
-    bits: np.ndarray,
-    n: int,
-    score: float,
-    generations: int,
-    reason: HaltReason,
-    evaluations: int,
-) -> RunResult:
+def _result(record: _Record, n: int, generations: int, reason: HaltReason, evaluations: int) -> RunResult:
     return RunResult(
-        best_chromosome=CouplingString(bits, n),
-        best_score=score,
+        best_chromosome=CouplingString(record.best_bits, n),
+        best_score=record.best_score,
         generations_used=generations,
         halted_by=reason,
         evaluations=evaluations,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .ctqw import ConcatenatedDistribution, ProbeState, SiteDistribution, TimeGrid, concatenated_distribution
 from .errors import ConfigError
-from .ga import GAConfig, HaltReason, RunResult, run_ga
+from .ga import GAConfig, HaltReason, RunResult, SearchMemo, run_ga
 from .graph import CouplingString
 from .seeding import derive_seed
 
@@ -123,8 +123,9 @@ def monte_carlo_sweep(
     thresholds and inner runs); each inner run re-seeds the search
     deterministically from (noise.seed, mc index, inner index), so a
     given inner run differs across thresholds only in when it halts.
-    All searches against one target share one score memo, so a genome
-    is propagated at most once per target.  The sweep sets every search's
+    All searches against one target share one memo, so a genome is
+    propagated at most once per target, and each inner run's trajectory
+    is bred once and replayed for every threshold.  The sweep sets every search's
     seed and threshold: the seed of ``ga`` is unused, a threshold rejected.
     """
     if ga.threshold is not None:
@@ -134,10 +135,10 @@ def monte_carlo_sweep(
     for mc in range(noise.mc_runs):
         noise_rng = np.random.default_rng(derive_seed(noise.seed, 0, mc))
         target = sample_noisy_distribution(ideal, noise.n_r, noise_rng)
-        cache: dict[bytes, float] = {}
+        memo = SearchMemo()
         for threshold in noise.thresholds:
             for inner in range(noise.inner_runs):
                 cfg = replace(ga, threshold=threshold, seed=derive_seed(noise.seed, 1, mc, inner))
-                result = run_ga(target, psi0, grid, cfg, cache=cache)
+                result = run_ga(target, psi0, grid, cfg, cache=memo)
                 tallies[threshold][classify_outcome(result, truth)] += 1
     return tallies if noise.mc_runs else {}

@@ -363,6 +363,33 @@ def test_simulate_infinite_time_exits_at_once() -> None:
     assert proc.returncode == 1 and "finite" in proc.stderr
 
 
+def test_simulate_time_past_the_cap_exits_at_once() -> None:
+    # a * t past ~1420 used to overflow the Chebyshev term bound and hang
+    proc = subprocess.run(
+        [sys.executable, "-m", "qwtopo.cli", "simulate", "--topology", "star", "--n", "5", "--times", "400"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1 and "at most 125" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct", "benchmark", "sweep"])
+@pytest.mark.parametrize("n", [[4.5], 4.5, [5, 4.5], [True]])
+def test_config_file_node_count_must_be_whole(capsys, tmp_path: Path, command: str, n) -> None:
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"experiment": {"topology": "star", "n": n}}))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg_file))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "whole number" in err
+
+
+@pytest.mark.parametrize("n, expected", [([4, 5.0], (4, 5)), (5.0, (5,)), (6, (6,)), ("5,6", (5, 6))])
+def test_node_counts_read_whole_numbers(n, expected) -> None:
+    args = build_parser().parse_args(["benchmark"])
+    assert cli._n_values_from(args, {"experiment": {"n": n}}) == expected
+
+
 @pytest.mark.parametrize("edit", ["time Infinity", "slice NaN"])
 def test_reconstruct_rejects_a_non_finite_target_file(capsys, tmp_path: Path, edit: str) -> None:
     target_file = tmp_path / "target.json"

@@ -90,6 +90,18 @@ def test_time_grid_rejects_non_finite_times(bad: float) -> None:
         TimeGrid.parse(f"{bad},0.5")
 
 
+def test_batch_propagation_caps_the_scaled_time() -> None:
+    # a = n - 1 = 4, so the cap a * t <= 500 admits t = 125 and no more.
+    bits = np.ones((1, 10), dtype=np.uint8)
+    amps = ProbeState.ramp(5).amplitudes
+    at_cap = batch_site_distributions(bits, 5, amps, (0.5, 125.0))
+    h = to_hamiltonian(CouplingString(bits[0], 5))
+    expected = np.abs(spectral_propagator(h, 125.0) @ amps) ** 2
+    assert np.allclose(at_cap[0, 1], expected, atol=1e-12)
+    with pytest.raises(ShapeError, match="at most 125"):
+        batch_site_distributions(bits, 5, amps, (0.5, 125.5))
+
+
 @pytest.mark.parametrize("times", [(0.5, math.inf), (math.nan,)])
 def test_batch_propagation_rejects_non_finite_times(times: tuple[float, ...]) -> None:
     # The batch path takes a raw tuple, not a TimeGrid; an infinite a*t

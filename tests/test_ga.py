@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from qwtopo import ga
 from qwtopo.ctqw import ProbeState, TimeGrid, batch_site_distributions, concatenated_distribution
 from qwtopo.errors import ConfigError, ShapeError
 from qwtopo.fitness import Metric, batch_kld, batch_kolmogorov, fitness
-from qwtopo.ga import GAConfig, HaltReason, _breed, _evaluate, run_ga
+from qwtopo.ga import GAConfig, HaltReason, SearchMemo, _breed, _evaluate, run_ga
 from qwtopo.graph import TopologyKind, TopologySpec, build_topology
 from qwtopo.measurement import sample_noisy_distribution
 
@@ -255,7 +256,7 @@ def test_run_ga_shared_memo_changes_only_the_evaluation_count() -> None:
     # A noisy target keeps the search off zero, so it runs several generations.
     _, psi0, grid, ideal = star_problem(5)
     target = sample_noisy_distribution(ideal, 300, np.random.default_rng(9))
-    cache: dict[bytes, float] = {}
+    cache = SearchMemo()
     runs = [GAConfig(seed=seed, n_g=6, n_p=30) for seed in (1, 2, 1)]
     shared = [run_ga(target, psi0, grid, cfg, cache=cache) for cfg in runs]
     alone = [run_ga(target, psi0, grid, cfg) for cfg in runs]
@@ -266,7 +267,59 @@ def test_run_ga_shared_memo_changes_only_the_evaluation_count() -> None:
     assert shared[0].evaluations == alone[0].evaluations
     assert shared[1].evaluations < alone[1].evaluations
     assert shared[2].evaluations == 0
-    assert len(cache) == shared[0].evaluations + shared[1].evaluations
+    assert len(cache.scores) == shared[0].evaluations + shared[1].evaluations
+
+
+def noisy_star5():
+    _, psi0, grid, ideal = star_problem(5)
+    return sample_noisy_distribution(ideal, 500, np.random.default_rng(4)), psi0, grid
+
+
+def outcome(result):
+    return (result.best_chromosome, result.best_score, result.generations_used, result.halted_by)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_threshold_searches_replay_one_trajectory(monkeypatch, order: str) -> None:
+    # A small population climbs for a few generations, so thresholds halt
+    # it at several depths; the lowest sits under the noisy optimum.
+    target, psi0, grid = noisy_star5()
+    config = GAConfig(seed=0, n_p=16, n_g=60)
+    thresholds = np.geomspace(0.005, 1.0, 12).tolist()
+    if order == "descending":
+        thresholds.reverse()
+    elif order == "shuffled":
+        np.random.default_rng(7).shuffle(thresholds)
+    alone = {t: run_ga(target, psi0, grid, replace(config, threshold=t)) for t in thresholds}
+    halts = {r.halted_by for r in alone.values()}
+    assert {HaltReason.THRESHOLD, HaltReason.MAX_GENERATIONS} <= halts
+    assert len({r.generations_used for r in alone.values()}) > 4
+
+    calls = []
+    real_evaluate = ga._evaluate
+    monkeypatch.setattr(ga, "_evaluate", lambda *a: calls.append(1) or real_evaluate(*a))
+    memo = SearchMemo()
+    shared = {t: run_ga(target, psi0, grid, replace(config, threshold=t), cache=memo) for t in thresholds}
+    for t in thresholds:
+        assert outcome(shared[t]) == outcome(alone[t])
+    assert sum(r.evaluations for r in shared.values()) == len(memo.scores)
+    # One record list, each generation bred and scored once across all thresholds.
+    [(records, _)] = memo.runs.values()
+    assert len(calls) == len(records) == config.n_g
+
+
+def test_searches_that_differ_beyond_the_threshold_keep_their_own_records() -> None:
+    target, psi0, grid = noisy_star5()
+    base = GAConfig(seed=3, n_g=20)
+    variants = [base, replace(base, seed=4), replace(base, n_g=15), replace(base, p_m=0.1)]
+    memo = SearchMemo()
+    for cfg in variants:
+        assert outcome(run_ga(target, psi0, grid, cfg, cache=memo)) == outcome(run_ga(target, psi0, grid, cfg))
+    # Only the key is checked for another metric: memo scores hold one metric's values.
+    run_ga(target, psi0, grid, replace(base, metric=Metric.KOLMOGOROV), cache=memo)
+    run_ga(target, psi0, grid, replace(base, threshold=1e-3), cache=memo)
+    record_lists = [records for records, _ in memo.runs.values()]
+    assert len(record_lists) == len({id(records) for records in record_lists}) == 5
 
 
 def test_run_ga_threshold_checked_before_zero() -> None:
