@@ -27,6 +27,7 @@ from .harness import (
     benchmark_noisy,
     emit_report,
     make_probe,
+    node_count,
     write_target,
     load_target,
 )
@@ -212,15 +213,13 @@ def _n_values_from(args, cfg: dict) -> tuple[int, ...]:
 
 
 def _node_count(part) -> int:
-    """A whole node count from a flag's text or a JSON number; a JSON 5.0 is 5, 4.5 an error."""
-    if isinstance(part, float) and part.is_integer():
-        part = int(part)
-    if isinstance(part, (int, str)) and not isinstance(part, bool):
+    """A node count from a flag's text, else from a JSON number as :func:`node_count` reads it."""
+    if isinstance(part, str):
         try:
-            return int(part)
+            part = int(part)
         except ValueError:
             pass
-    raise ConfigError(f"node count must be a whole number, got {part!r}")
+    return node_count(part)
 
 
 def _single_n_from(args, cfg: dict) -> int:

@@ -10,8 +10,9 @@ zero fitness, or after n_g generations.
 from __future__ import annotations
 
 import enum
+import weakref
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -132,22 +133,15 @@ def _breed(
     return children
 
 
-def _evaluate(
-    bits: np.ndarray,
-    cache: dict[bytes, float],
-    n: int,
-    amplitudes: np.ndarray,
-    times: tuple[float, ...],
-    target_flat: np.ndarray,
-    metric: Metric,
-) -> tuple[np.ndarray, int]:
-    """Score every row, memoizing by genome; returns (scores, new evals).
+def _evaluate(bits: np.ndarray, memo: SearchMemo) -> tuple[np.ndarray, int]:
+    """Score every row against the memo's objective; returns (scores, new evals).
 
     Each row's bytes are its memo key, taken for the whole population
     in one view.  The distinct genomes missing from the memo are scored
     in one batch, in order of first appearance.
     """
     n_c = bits.shape[1]
+    cache = memo.scores
     keys = np.ascontiguousarray(bits, dtype=np.uint8).view(f"V{n_c}").ravel().tolist()
     # Scores are never negative, so -1.0 marks a row the memo misses.
     scores = np.array([cache.get(key, -1.0) for key in keys])
@@ -157,12 +151,12 @@ def _evaluate(
     missed_keys = [keys[i] for i in missed.tolist()]
     new_keys = list(dict.fromkeys(missed_keys))
     fresh = np.frombuffer(b"".join(new_keys), dtype=np.uint8).reshape(len(new_keys), n_c)
-    models = batch_site_distributions(fresh, n, amplitudes, times)
+    models = batch_site_distributions(fresh, memo.n, memo.psi0.amplitudes, memo.grid.times)
     flat = models.reshape(len(new_keys), -1)
-    if metric is Metric.KLD:
-        values = batch_kld(flat, target_flat)
+    if memo.metric is Metric.KLD:
+        values = batch_kld(flat, memo.target_flat)
     else:
-        values = batch_kolmogorov(flat, target_flat)
+        values = batch_kolmogorov(flat, memo.target_flat)
     cache.update(zip(new_keys, values.tolist()))
     scores[missed] = [cache[key] for key in missed_keys]
     return scores, len(new_keys)
@@ -177,17 +171,37 @@ class _Record(NamedTuple):
     fresh: int  # genomes this generation added to the score memo
 
 
-@dataclass
 class SearchMemo:
-    """What searches against one target, probe, times and metric share.
+    """The memo of searches against one target, probe, times and metric.
 
-    ``scores`` maps genome bytes to score.  ``runs`` maps a config with
-    its threshold dropped to that search's records so far and the
-    suspended generator that makes the next one.
+    It checks the shapes once, here, and ``run_ga`` raises ConfigError
+    for a run against another objective.  ``scores`` maps genome bytes
+    to score.  ``runs`` maps a config with its threshold dropped to that
+    search's records so far and the suspended generator that makes the
+    next one.
     """
 
-    scores: dict[bytes, float] = field(default_factory=dict)
-    runs: dict[GAConfig, tuple[list[_Record], Iterator[_Record]]] = field(default_factory=dict)
+    def __init__(self, target: ConcatenatedDistribution, psi0: ProbeState, grid: TimeGrid, metric: Metric) -> None:
+        n = target.n
+        if psi0.n != n:
+            raise ShapeError(f"probe has {psi0.n} amplitudes but the target has {n} sites")
+        if len(grid) != target.k:
+            raise ShapeError(f"grid has {len(grid)} times but the target has {target.k} slices")
+        if n < 2:
+            raise ConfigError(f"need at least 2 nodes to search, got n={n}")
+        self.n, self.psi0, self.grid, self.metric = n, psi0, grid, metric
+        self.target_flat = target.flat
+        self.scores: dict[bytes, float] = {}
+        self.runs: dict[GAConfig, tuple[list[_Record], Iterator[_Record]]] = {}
+
+    def serves(self, target: ConcatenatedDistribution, psi0: ProbeState, grid: TimeGrid, metric: Metric) -> bool:
+        """Whether the objective is this memo's, comparing the target and probe by value."""
+        return (
+            metric is self.metric
+            and grid.times == self.grid.times
+            and np.array_equal(psi0.amplitudes, self.psi0.amplitudes)
+            and np.array_equal(target.flat, self.target_flat)
+        )
 
 
 def run_ga(
@@ -207,32 +221,26 @@ def run_ga(
     distinct genomes scored; repeats are served from a memo and cost
     nothing.
 
-    ``cache`` is the memo, fresh by default.  Runs against the same
-    target, probe, times and metric may share one, since a score depends
-    on nothing else and a row's distribution does not depend on its
-    batch; ``evaluations`` then counts only the genomes that were not
-    in it yet.  The threshold is tested before breeding and draws no
-    random numbers, so searches that differ only in threshold follow
-    one trajectory: the memo records it, and a search replays the
-    recorded prefix and breeds only the generations past it.
+    ``cache`` is the memo, made for this target, probe, times and
+    metric by default.  A memo serves one such objective, since a score
+    depends on nothing else and a row's distribution does not depend on
+    its batch; a memo made for another target, probe, times or metric
+    raises ConfigError (target and probe are compared by value).  With
+    a shared memo, ``evaluations`` counts only the genomes that were not
+    in it yet.  The threshold is tested before breeding and draws no random
+    numbers, so searches that differ only in threshold follow one
+    trajectory: the memo records it, and a search replays the recorded
+    prefix and breeds only the generations past it.
     """
-    n = target.n
-    if psi0.n != n:
-        raise ShapeError(f"probe has {psi0.n} amplitudes but the target has {n} sites")
-    if len(grid) != target.k:
-        raise ShapeError(f"grid has {len(grid)} times but the target has {target.k} slices")
-    n_c = n * (n - 1) // 2
-    if n_c < 1:
-        raise ConfigError(f"need at least 2 nodes to search, got n={n}")
-    n_p = config.resolved_n_p(n_c)
-    if n_p < 2:
-        raise ConfigError(f"population size must be >= 2, got {n_p}")
-
     if cache is None:
-        cache = SearchMemo()
+        cache = SearchMemo(target, psi0, grid, config.metric)
+    elif not cache.serves(target, psi0, grid, config.metric):
+        raise ConfigError("the memo was made for another target, probe, times or metric")
     search = replace(config, threshold=None)
     if search not in cache.runs:
-        cache.runs[search] = ([], _generations(target, psi0, grid, search, n_p, cache.scores))
+        # Through a weak proxy, the generator the memo stores holds no cycle
+        # back to it, so a memo no caller keeps is freed at once.
+        cache.runs[search] = ([], _generations(weakref.proxy(cache), search))
     records, steps = cache.runs[search]
     evaluations = 0
     for gen in range(config.n_g):
@@ -241,30 +249,23 @@ def run_ga(
             evaluations += records[gen].fresh
         record = records[gen]
         if config.threshold is not None and record.current < config.threshold:
-            return _result(record, n, gen, HaltReason.THRESHOLD, evaluations)
+            return _result(record, cache.n, gen, HaltReason.THRESHOLD, evaluations)
         if record.current < ZERO_TOL:
-            return _result(record, n, gen, HaltReason.ZERO_FITNESS, evaluations)
-    return _result(records[-1], n, config.n_g, HaltReason.MAX_GENERATIONS, evaluations)
+            return _result(record, cache.n, gen, HaltReason.ZERO_FITNESS, evaluations)
+    return _result(records[-1], cache.n, config.n_g, HaltReason.MAX_GENERATIONS, evaluations)
 
 
-def _generations(
-    target: ConcatenatedDistribution,
-    psi0: ProbeState,
-    grid: TimeGrid,
-    config: GAConfig,
-    n_p: int,
-    scores_memo: dict[bytes, float],
-) -> Iterator[_Record]:
+def _generations(memo: SearchMemo, config: GAConfig) -> Iterator[_Record]:
     """The search's records, one per generation up to n_g.
 
     Generation g + 1 is bred only when its record is pulled, so the
     random stream is drawn only as far as some search has needed it.
     """
-    n = target.n
+    n_c = memo.n * (memo.n - 1) // 2
+    n_p = config.resolved_n_p(n_c)
     e = config.elite_count(n_p)
-    target_flat = target.flat
     rng = np.random.default_rng(config.seed)
-    bits = rng.integers(0, 2, size=(n_p, n * (n - 1) // 2), dtype=np.uint8)
+    bits = rng.integers(0, 2, size=(n_p, n_c), dtype=np.uint8)
     best_score = np.inf
     best_bits = bits[0]
     for gen in range(config.n_g):
@@ -273,9 +274,7 @@ def _generations(
             elites = bits[order]
             children = _breed(bits, scores, n_p - e, config, rng)
             bits = np.concatenate([elites, children], axis=0)
-        scores, fresh = _evaluate(
-            bits, scores_memo, n, psi0.amplitudes, grid.times, target_flat, config.metric
-        )
+        scores, fresh = _evaluate(bits, memo)
         leader = int(np.argmin(scores))
         current = float(scores[leader])
         if current < best_score:

@@ -32,6 +32,7 @@ __all__ = [
     "BenchmarkReport",
     "SweepReport",
     "make_probe",
+    "node_count",
     "run_seed",
     "benchmark_noiseless",
     "benchmark_noisy",
@@ -64,6 +65,15 @@ def make_probe(spec: str, n: int) -> ProbeState:
             raise ConfigError(f"cannot parse probe site in {spec!r}") from None
         return ProbeState.localized(n, site)
     raise ConfigError(f"unknown probe {spec!r}; expected ramp, uniform, or site:<k>")
+
+
+def node_count(value) -> int:
+    """A whole node count from a JSON number: 5.0 is 5; 4.5, a string or a bool is an error."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"node count must be a whole number, got {value!r}")
 
 
 def run_seed(master_seed: int, topology_label: str, n: int, run: int) -> int:
@@ -369,7 +379,7 @@ def load_target(path: str | Path) -> tuple[TimeGrid, ConcatenatedDistribution, s
     except json.JSONDecodeError as exc:
         raise ConfigError(f"target file {path} is not valid JSON: {exc}") from None
     try:
-        n = int(obj["n"])
+        n = node_count(obj["n"])
         grid = TimeGrid(tuple(float(t) for t in obj["times"]))
         slices = np.asarray(obj["slices"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:

@@ -135,7 +135,7 @@ def monte_carlo_sweep(
     for mc in range(noise.mc_runs):
         noise_rng = np.random.default_rng(derive_seed(noise.seed, 0, mc))
         target = sample_noisy_distribution(ideal, noise.n_r, noise_rng)
-        memo = SearchMemo()
+        memo = SearchMemo(target, psi0, grid, ga.metric)
         for threshold in noise.thresholds:
             for inner in range(noise.inner_runs):
                 cfg = replace(ga, threshold=threshold, seed=derive_seed(noise.seed, 1, mc, inner))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -256,7 +257,7 @@ def test_run_ga_shared_memo_changes_only_the_evaluation_count() -> None:
     # A noisy target keeps the search off zero, so it runs several generations.
     _, psi0, grid, ideal = star_problem(5)
     target = sample_noisy_distribution(ideal, 300, np.random.default_rng(9))
-    cache = SearchMemo()
+    cache = SearchMemo(target, psi0, grid, Metric.KLD)
     runs = [GAConfig(seed=seed, n_g=6, n_p=30) for seed in (1, 2, 1)]
     shared = [run_ga(target, psi0, grid, cfg, cache=cache) for cfg in runs]
     alone = [run_ga(target, psi0, grid, cfg) for cfg in runs]
@@ -298,7 +299,7 @@ def test_threshold_searches_replay_one_trajectory(monkeypatch, order: str) -> No
     calls = []
     real_evaluate = ga._evaluate
     monkeypatch.setattr(ga, "_evaluate", lambda *a: calls.append(1) or real_evaluate(*a))
-    memo = SearchMemo()
+    memo = SearchMemo(target, psi0, grid, config.metric)
     shared = {t: run_ga(target, psi0, grid, replace(config, threshold=t), cache=memo) for t in thresholds}
     for t in thresholds:
         assert outcome(shared[t]) == outcome(alone[t])
@@ -312,14 +313,55 @@ def test_searches_that_differ_beyond_the_threshold_keep_their_own_records() -> N
     target, psi0, grid = noisy_star5()
     base = GAConfig(seed=3, n_g=20)
     variants = [base, replace(base, seed=4), replace(base, n_g=15), replace(base, p_m=0.1)]
-    memo = SearchMemo()
+    memo = SearchMemo(target, psi0, grid, base.metric)
     for cfg in variants:
         assert outcome(run_ga(target, psi0, grid, cfg, cache=memo)) == outcome(run_ga(target, psi0, grid, cfg))
-    # Only the key is checked for another metric: memo scores hold one metric's values.
-    run_ga(target, psi0, grid, replace(base, metric=Metric.KOLMOGOROV), cache=memo)
+    # Another metric is another objective: the memo refuses it.
+    with pytest.raises(ConfigError):
+        run_ga(target, psi0, grid, replace(base, metric=Metric.KOLMOGOROV), cache=memo)
     run_ga(target, psi0, grid, replace(base, threshold=1e-3), cache=memo)
     record_lists = [records for records, _ in memo.runs.values()]
-    assert len(record_lists) == len({id(records) for records in record_lists}) == 5
+    assert len(record_lists) == len({id(records) for records in record_lists}) == 4
+
+
+@pytest.mark.parametrize("other", ["target", "psi0", "grid", "config"], ids=["target", "probe", "times", "metric"])
+def test_a_memo_serves_only_its_own_objective(other: str) -> None:
+    target, psi0, grid = noisy_star5()
+    objective = {"target": target, "psi0": psi0, "grid": grid, "config": GAConfig(seed=3, n_g=20)}
+    memo = SearchMemo(target, psi0, grid, Metric.KLD)
+    run_ga(**objective, cache=memo)
+    another = {
+        "target": sample_noisy_distribution(star_problem(5)[3], 500, np.random.default_rng(5)),
+        "psi0": ProbeState.uniform(5),
+        "grid": TimeGrid((0.5, 0.7)),
+        "config": replace(objective["config"], metric=Metric.KOLMOGOROV),
+    }
+    filled = (dict(memo.scores), {key: len(records) for key, (records, _) in memo.runs.items()})
+    with pytest.raises(ConfigError, match="another target, probe, times or metric"):
+        run_ga(**{**objective, other: another[other]}, cache=memo)
+    assert filled == (memo.scores, {key: len(records) for key, (records, _) in memo.runs.items()})
+
+
+def test_a_memo_serves_its_objective_rebuilt_with_equal_values() -> None:
+    target, psi0, grid = noisy_star5()
+    config = GAConfig(seed=3, n_g=20)
+    memo = SearchMemo(target, psi0, grid, config.metric)
+    first = run_ga(target, psi0, grid, config, cache=memo)
+    again, _, _ = noisy_star5()
+    replay = run_ga(again, ProbeState.ramp(5), TimeGrid((0.5, 0.6)), config, cache=memo)
+    assert again is not target
+    assert outcome(replay) == outcome(first) and replay.evaluations == 0
+
+
+def test_a_dropped_memo_is_freed_at_once() -> None:
+    # The memo stores each search's suspended generator; if that held the memo
+    # strongly, dead memos would wait for a full collection with their records.
+    target, psi0, grid = noisy_star5()
+    memo = SearchMemo(target, psi0, grid, Metric.KLD)
+    run_ga(target, psi0, grid, GAConfig(seed=3, n_g=20), cache=memo)
+    dropped = weakref.ref(memo)
+    del memo
+    assert dropped() is None
 
 
 def test_run_ga_threshold_checked_before_zero() -> None:
@@ -391,9 +433,9 @@ def test_run_ga_minimal_population() -> None:
     assert result.evaluations <= 2 * (result.generations_used + 1)
 
 
-def evaluate_star(bits, cache, n: int, metric: Metric = Metric.KLD):
+def star_memo(n: int, metric: Metric = Metric.KLD) -> SearchMemo:
     _, psi0, grid, target = star_problem(n)
-    return _evaluate(bits, cache, n, psi0.amplitudes, grid.times, target.flat, metric)
+    return SearchMemo(target, psi0, grid, metric)
 
 
 def record_propagation(monkeypatch) -> list[np.ndarray]:
@@ -413,7 +455,7 @@ def test_evaluate_propagates_each_distinct_genome_once(monkeypatch) -> None:
     genomes = distinct_genomes(4, 10)
     bits = genomes[[2, 0, 2, 3, 0, 0, 1, 3]]
     calls = record_propagation(monkeypatch)
-    scores, fresh = evaluate_star(bits, {}, 5)
+    scores, fresh = _evaluate(bits, star_memo(5))
     assert fresh == 4
     assert len(calls) == 1
     # in order of first appearance
@@ -425,17 +467,17 @@ def test_evaluate_propagates_each_distinct_genome_once(monkeypatch) -> None:
 
 def test_evaluate_serves_repeats_from_the_memo(monkeypatch) -> None:
     bits = np.random.default_rng(8).integers(0, 2, size=(50, 10), dtype=np.uint8)
-    cache: dict[bytes, float] = {}
-    first, fresh = evaluate_star(bits, cache, 5)
-    assert fresh == len(np.unique(bits, axis=0)) == len(cache)
+    memo = star_memo(5)
+    first, fresh = _evaluate(bits, memo)
+    assert fresh == len(np.unique(bits, axis=0)) == len(memo.scores)
     calls = record_propagation(monkeypatch)
-    again, fresh = evaluate_star(bits[::-1], cache, 5)
+    again, fresh = _evaluate(bits[::-1], memo)
     assert fresh == 0 and calls == []
     assert np.array_equal(again, first[::-1])
     # a population mixing memo hits with one new genome propagates only that genome
     new = 1 - bits[0]
     assert new.tobytes() not in {row.tobytes() for row in bits}
-    scores, fresh = evaluate_star(np.vstack([bits[:3], new, bits[3:6]]), cache, 5)
+    scores, fresh = _evaluate(np.vstack([bits[:3], new, bits[3:6]]), memo)
     assert fresh == 1
     assert len(calls) == 1 and np.array_equal(calls[0], new[None, :])
     assert np.array_equal(np.delete(scores, 3), first[:6])
@@ -446,7 +488,7 @@ def test_evaluate_scores_equal_direct_divergence(metric, divergence) -> None:
     n = 5
     _, psi0, grid, target = star_problem(n)
     bits = np.random.default_rng(4).integers(0, 2, size=(60, 10), dtype=np.uint8)
-    scores, _ = evaluate_star(bits, {}, n, metric)
+    scores, _ = _evaluate(bits, star_memo(n, metric))
     models = batch_site_distributions(bits, n, psi0.amplitudes, grid.times)
     assert np.array_equal(scores, divergence(models.reshape(len(bits), -1), target.flat))
 
@@ -458,9 +500,9 @@ def test_evaluate_keys_every_gene_at_n12(monkeypatch) -> None:
     other[0, 65] ^= 1  # the last gene: n_c = 66
     bits = np.concatenate([star, other, star, other])
     calls = record_propagation(monkeypatch)
-    cache: dict[bytes, float] = {}
-    scores, fresh = evaluate_star(bits, cache, n)
-    assert fresh == 2 and len(cache) == 2
+    memo = star_memo(n)
+    scores, fresh = _evaluate(bits, memo)
+    assert fresh == 2 and len(memo.scores) == 2
     assert np.array_equal(calls[0], np.concatenate([star, other]))
     assert scores[0] == scores[2] == 0.0
     assert scores[1] == scores[3] > 0.0

@@ -267,6 +267,22 @@ def test_write_target_grid_mismatch(tmp_path: Path) -> None:
         write_target(tmp_path / "t.json", dist, TimeGrid((0.5,)), "ramp")
 
 
+@pytest.mark.parametrize("n", [4.5, "4", True, 4.0])
+def test_load_target_reads_n_as_a_whole_number(tmp_path: Path, n) -> None:
+    truth = build_topology(TopologySpec(TopologyKind.STAR), 4)
+    grid = TimeGrid((0.5, 0.6))
+    dist = concatenated_distribution(truth, ProbeState.ramp(4), grid)
+    path = write_target(tmp_path / "target.json", dist, grid, "ramp")
+    obj = json.loads(path.read_text())
+    obj["n"] = n
+    path.write_text(json.dumps(obj))
+    if n == 4.0:
+        assert load_target(path)[1].n == 4
+    else:
+        with pytest.raises(ConfigError, match="whole number"):
+            load_target(path)
+
+
 def test_load_target_malformed(tmp_path: Path) -> None:
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
