@@ -11,11 +11,10 @@ from .ctqw import (
     SiteDistribution,
     TimeGrid,
     concatenated_distribution,
-    site_distribution,
     spectral_propagator,
 )
 from .errors import ConfigError, ShapeError, TopologyError
-from .fitness import Metric, fitness, kld, kolmogorov
+from .fitness import Metric
 from .ga import GAConfig, HaltReason, RunResult, run_ga
 from .graph import (
     CouplingString,
@@ -55,15 +54,11 @@ __all__ = [
     "SiteDistribution",
     "TimeGrid",
     "concatenated_distribution",
-    "site_distribution",
     "spectral_propagator",
     "ConfigError",
     "ShapeError",
     "TopologyError",
     "Metric",
-    "fitness",
-    "kld",
-    "kolmogorov",
     "GAConfig",
     "HaltReason",
     "RunResult",

@@ -26,6 +26,7 @@ from .harness import (
     benchmark_noiseless,
     benchmark_noisy,
     emit_report,
+    json_number,
     make_probe,
     node_count,
     write_target,
@@ -150,11 +151,14 @@ def _pick(cli_value, file_section: dict, key: str, default, kind: type | None = 
 
 
 def _floats(value, what: str) -> tuple[float, ...]:
-    """Numbers from a comma-separated string or a JSON list."""
-    parts = value.split(",") if isinstance(value, str) else value
+    """Numbers from a comma-separated string, or from a JSON list of numbers."""
+    if isinstance(value, list):
+        return tuple(json_number(part, f"an entry of {what}") for part in value)
+    if not isinstance(value, str):
+        raise ConfigError(f"cannot parse {what} from {value!r}")
     try:
-        return tuple(float(part) for part in parts)
-    except (TypeError, ValueError):
+        return tuple(float(part) for part in value.split(","))
+    except ValueError:
         raise ConfigError(f"cannot parse {what} from {value!r}") from None
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .graph import CouplingString, hamiltonian_stack, to_hamiltonian
+from .graph import CouplingString, hamiltonian_stack
 
 __all__ = [
     "ProbeState",
@@ -44,7 +44,6 @@ __all__ = [
     "SiteDistribution",
     "ConcatenatedDistribution",
     "spectral_propagator",
-    "site_distribution",
     "concatenated_distribution",
     "batch_site_distributions",
 ]
@@ -222,12 +221,8 @@ class ConcatenatedDistribution:
 
     @property
     def flat(self) -> np.ndarray:
-        """Concatenated length K*n view, slice by slice."""
+        """A new length K*n array, slice by slice, built on each access."""
         return np.concatenate([s.probs for s in self.slices])
-
-    def as_matrix(self) -> np.ndarray:
-        """Slices stacked as a (K, n) array."""
-        return np.stack([s.probs for s in self.slices])
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> ConcatenatedDistribution:
@@ -246,14 +241,6 @@ def spectral_propagator(h: np.ndarray, t: float) -> np.ndarray:
         raise ShapeError("Hamiltonian must be symmetric")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.T
-
-
-def site_distribution(coupling: CouplingString, psi0: ProbeState, t: float) -> SiteDistribution:
-    """Occupation probabilities |<x| exp(-iHt) |psi0>|^2."""
-    if psi0.n != coupling.n:
-        raise ShapeError(f"probe has {psi0.n} amplitudes but the network has {coupling.n} nodes")
-    amps = spectral_propagator(to_hamiltonian(coupling), t) @ psi0.amplitudes
-    return SiteDistribution(np.abs(amps) ** 2)
 
 
 def concatenated_distribution(

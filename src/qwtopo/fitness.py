@@ -11,11 +11,7 @@ import enum
 
 import numpy as np
 
-from .ctqw import ConcatenatedDistribution, ProbeState, TimeGrid, concatenated_distribution
-from .errors import ShapeError
-from .graph import CouplingString
-
-__all__ = ["Metric", "TARGET_CLAMP", "kld", "kolmogorov", "fitness"]
+__all__ = ["Metric", "TARGET_CLAMP", "batch_kld", "batch_kolmogorov"]
 
 # Floor applied to target (denominator) entries so that scores stay
 # finite when sampled targets contain empty bins.
@@ -27,46 +23,8 @@ class Metric(enum.Enum):
     KOLMOGOROV = "kolmogorov"
 
 
-def _flat_pair(model: ConcatenatedDistribution, target: ConcatenatedDistribution) -> tuple[np.ndarray, np.ndarray]:
-    if model.n != target.n or model.k != target.k:
-        raise ShapeError(
-            f"model is {model.k} slices of {model.n}, target is {target.k} slices of {target.n}"
-        )
-    return model.flat, target.flat
-
-
-def kld(model: ConcatenatedDistribution, target: ConcatenatedDistribution) -> float:
-    """Kullback-Leibler divergence sum_x model_x ln(model_x / target_x).
-
-    Target entries are clamped at TARGET_CLAMP; model-side zeros
-    contribute 0 by the 0 ln 0 = 0 convention.  Natural logarithm.
-    """
-    m, t = _flat_pair(model, target)
-    return batch_kld(m[None, :], t)[0]
-
-
-def kolmogorov(model: ConcatenatedDistribution, target: ConcatenatedDistribution) -> float:
-    """Half the absolute-difference sum over the concatenated array."""
-    m, t = _flat_pair(model, target)
-    return batch_kolmogorov(m[None, :], t)[0]
-
-
-def fitness(
-    candidate: CouplingString,
-    target: ConcatenatedDistribution,
-    psi0: ProbeState,
-    grid: TimeGrid,
-    metric: Metric = Metric.KLD,
-) -> float:
-    """Score a coupling string: its walk statistics against the target."""
-    model = concatenated_distribution(candidate, psi0, grid)
-    if metric is Metric.KLD:
-        return kld(model, target)
-    return kolmogorov(model, target)
-
-
 def batch_kld(models: np.ndarray, target_flat: np.ndarray) -> np.ndarray:
-    """KLD of each row of an (m, K*n) model array against one target.
+    """KL(model || target) of each row of an (m, K*n) model array, natural log.
 
     Each term is m ln(m / max(t, TARGET_CLAMP)), and 0 where m = 0.
     The termwise sum can round slightly below zero when a model matches
@@ -78,5 +36,5 @@ def batch_kld(models: np.ndarray, target_flat: np.ndarray) -> np.ndarray:
 
 
 def batch_kolmogorov(models: np.ndarray, target_flat: np.ndarray) -> np.ndarray:
-    """Kolmogorov distance of each model row against one target."""
+    """Kolmogorov distance of each model row against one target: half the absolute-difference sum."""
     return 0.5 * np.abs(models - target_flat[None, :]).sum(axis=1)

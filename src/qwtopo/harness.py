@@ -32,6 +32,7 @@ __all__ = [
     "BenchmarkReport",
     "SweepReport",
     "make_probe",
+    "json_number",
     "node_count",
     "run_seed",
     "benchmark_noiseless",
@@ -67,6 +68,13 @@ def make_probe(spec: str, n: int) -> ProbeState:
     raise ConfigError(f"unknown probe {spec!r}; expected ramp, uniform, or site:<k>")
 
 
+def json_number(value, what: str) -> float:
+    """A float from a JSON number (int or float); a bool, a string or anything else is an error."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{what} must be a number, got {value!r}")
+
+
 def node_count(value) -> int:
     """A whole node count from a JSON number: 5.0 is 5; 4.5, a string or a bool is an error."""
     if isinstance(value, float) and value.is_integer():
@@ -97,7 +105,7 @@ class ExperimentSpec:
     probe: str = "ramp"
 
     def __post_init__(self) -> None:
-        n_values = tuple(int(n) for n in self.n_values)
+        n_values = tuple(node_count(n) for n in self.n_values)
         if not n_values:
             raise ConfigError("need at least one network size")
         if any(n < 2 for n in n_values):
@@ -380,8 +388,9 @@ def load_target(path: str | Path) -> tuple[TimeGrid, ConcatenatedDistribution, s
         raise ConfigError(f"target file {path} is not valid JSON: {exc}") from None
     try:
         n = node_count(obj["n"])
-        grid = TimeGrid(tuple(float(t) for t in obj["times"]))
-        slices = np.asarray(obj["slices"], dtype=float)
+        grid = TimeGrid(tuple(json_number(t, "a time") for t in obj["times"]))
+        rows = obj["slices"]
+        slices = np.asarray([[json_number(p, "a slice entry") for p in row] for row in rows], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"target file {path} is malformed: {exc}") from None
     probe = obj.get("probe")

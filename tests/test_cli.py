@@ -336,6 +336,8 @@ def test_sweep_seed_is_the_noise_seed(capsys, tmp_path: Path) -> None:
         ("reconstruct", {"ga": {"n_p": "200"}}),
         ("sweep", {"noise": {"thresholds": 0.01}}),
         ("reconstruct", {"ga": {"n_g": 2.5}}),
+        ("simulate", {"experiment": {"times": [True, 2]}}),
+        ("sweep", {"noise": {"thresholds": [True]}}),
     ],
 )
 def test_config_file_value_of_wrong_type_exits_one(capsys, tmp_path: Path, command: str, cfg: dict) -> None:
@@ -403,6 +405,20 @@ def test_reconstruct_rejects_a_non_finite_target_file(capsys, tmp_path: Path, ed
     assert edit.split()[1] in target_file.read_text()
     code, out, err = run_cli(capsys, "reconstruct", "--target", str(target_file))
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("edit", ["times [true, 2]", "slice entry a string"])
+def test_reconstruct_rejects_a_target_file_holding_non_numbers(capsys, tmp_path: Path, edit: str) -> None:
+    target_file = tmp_path / "target.json"
+    assert run_cli(capsys, "simulate", "--topology", "star", "--n", "3", "--output", str(target_file))[0] == 0
+    obj = json.loads(target_file.read_text())
+    if edit.startswith("times"):
+        obj["times"] = [True, 2]
+    else:
+        obj["slices"][0][0] = str(obj["slices"][0][0])
+    target_file.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "reconstruct", "--target", str(target_file))
+    assert code == 1 and out == "" and "must be a number" in err
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path: Path) -> None:

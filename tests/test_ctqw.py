@@ -17,7 +17,6 @@ from qwtopo.ctqw import (
     TimeGrid,
     batch_site_distributions,
     concatenated_distribution,
-    site_distribution,
     spectral_propagator,
 )
 from qwtopo.errors import ShapeError
@@ -181,41 +180,46 @@ def test_propagator_matches_taylor_series() -> None:
         assert np.max(np.abs(u - taylor_propagator(h, t))) < 1e-9
 
 
+def spectral_probs(cs: CouplingString, psi0: ProbeState, t: float) -> np.ndarray:
+    """Reference site distribution at time t from one eigendecomposition."""
+    return np.abs(spectral_propagator(to_hamiltonian(cs), t) @ psi0.amplitudes) ** 2
+
+
 def test_site_distribution_at_time_zero() -> None:
     rng = np.random.default_rng(14)
     cs = random_coupling(5, rng)
     psi0 = ProbeState.ramp(5)
-    dist = site_distribution(cs, psi0, 0.0)
-    assert np.allclose(dist.probs, np.abs(psi0.amplitudes) ** 2, atol=1e-12)
+    dist = concatenated_distribution(cs, psi0, TimeGrid((0.0,)))
+    assert np.allclose(dist.flat, np.abs(psi0.amplitudes) ** 2, atol=1e-12)
 
 
 def test_site_distribution_two_node_closed_form() -> None:
     cs = CouplingString(np.array([1]), 2)
     psi0 = ProbeState.localized(2)
-    for t in (0.1, 0.5, 0.6, 1.0, math.pi / 2):
-        dist = site_distribution(cs, psi0, t)
-        assert abs(dist.probs[0] - math.cos(t) ** 2) < 1e-10
-        assert abs(dist.probs[1] - math.sin(t) ** 2) < 1e-10
+    times = (0.1, 0.5, 0.6, 1.0, math.pi / 2)
+    dist = concatenated_distribution(cs, psi0, TimeGrid(times))
+    for t, s in zip(times, dist.slices):
+        assert abs(s.probs[0] - math.cos(t) ** 2) < 1e-10
+        assert abs(s.probs[1] - math.sin(t) ** 2) < 1e-10
 
 
 def test_site_distribution_uniform_probe_is_stationary_on_complete() -> None:
     cs = build_topology(TopologySpec(TopologyKind.COMPLETE), 5)
     psi0 = ProbeState.uniform(5)
-    for t in (0.3, 0.9, 2.0):
-        dist = site_distribution(cs, psi0, t)
-        assert np.allclose(dist.probs, 0.2, atol=1e-10)
+    dist = concatenated_distribution(cs, psi0, TimeGrid((0.3, 0.9, 2.0)))
+    assert np.allclose(dist.flat, 0.2, atol=1e-10)
 
 
 def test_site_distribution_rejects_mismatched_probe() -> None:
     cs = CouplingString(np.array([1]), 2)
     with pytest.raises(ShapeError):
-        site_distribution(cs, ProbeState.ramp(3), 0.5)
+        concatenated_distribution(cs, ProbeState.ramp(3), TimeGrid((0.5,)))
 
 
 def test_site_distribution_single_node() -> None:
     cs = CouplingString(np.zeros(0, dtype=np.uint8), 1)
-    dist = site_distribution(cs, ProbeState.ramp(1), 0.8)
-    assert np.allclose(dist.probs, [1.0], atol=1e-12)
+    dist = concatenated_distribution(cs, ProbeState.ramp(1), TimeGrid((0.8,)))
+    assert np.allclose(dist.flat, [1.0], atol=1e-12)
 
 
 def test_concatenated_single_slice_matches_site_distribution() -> None:
@@ -223,9 +227,8 @@ def test_concatenated_single_slice_matches_site_distribution() -> None:
     cs = random_coupling(6, rng)
     psi0 = ProbeState.ramp(6)
     combined = concatenated_distribution(cs, psi0, TimeGrid((0.7,)))
-    single = site_distribution(cs, psi0, 0.7)
     assert combined.k == 1
-    assert np.allclose(combined.slices[0].probs, single.probs, atol=1e-12)
+    assert np.allclose(combined.slices[0].probs, spectral_probs(cs, psi0, 0.7), atol=1e-12)
 
 
 def test_concatenated_two_node_example() -> None:
@@ -256,7 +259,7 @@ def test_concatenated_matrix_round_trip() -> None:
     rng = np.random.default_rng(16)
     cs = random_coupling(4, rng)
     dist = concatenated_distribution(cs, ProbeState.ramp(4), TimeGrid((0.5, 0.6)))
-    rebuilt = ConcatenatedDistribution.from_matrix(dist.as_matrix())
+    rebuilt = ConcatenatedDistribution.from_matrix(dist.flat.reshape(dist.k, dist.n))
     assert np.array_equal(rebuilt.flat, dist.flat)
     assert rebuilt.n == 4 and rebuilt.k == 2
 
@@ -280,8 +283,8 @@ def test_every_distribution_normalized() -> None:
         amps = rng.normal(size=n) + 1j * rng.normal(size=n)
         psi0 = ProbeState(amps / np.linalg.norm(amps))
         t = float(rng.uniform(0, 3))
-        dist = site_distribution(cs, psi0, t)
-        assert abs(dist.probs.sum() - 1) < 1e-10
+        dist = concatenated_distribution(cs, psi0, TimeGrid((t,)))
+        assert abs(dist.flat.sum() - 1) < 1e-10
 
 
 @settings(deadline=None, max_examples=30)
@@ -307,9 +310,9 @@ def test_relabeling_covariance(n: int, seed: int) -> None:
     moved[perm] = psi0.amplitudes
     psi_moved = ProbeState(moved)
 
-    t = 0.8
-    base = site_distribution(cs, psi0, t).probs
-    mapped = site_distribution(relabeled, psi_moved, t).probs
+    grid = TimeGrid((0.8,))
+    base = concatenated_distribution(cs, psi0, grid).flat
+    mapped = concatenated_distribution(relabeled, psi_moved, grid).flat
     assert np.allclose(mapped[perm], base, atol=1e-10)
 
 

@@ -12,7 +12,7 @@ import pytest
 from qwtopo import ga
 from qwtopo.ctqw import ProbeState, TimeGrid, batch_site_distributions, concatenated_distribution
 from qwtopo.errors import ConfigError, ShapeError
-from qwtopo.fitness import Metric, batch_kld, batch_kolmogorov, fitness
+from qwtopo.fitness import Metric, batch_kld, batch_kolmogorov
 from qwtopo.ga import GAConfig, HaltReason, SearchMemo, _breed, _evaluate, run_ga
 from qwtopo.graph import TopologyKind, TopologySpec, build_topology
 from qwtopo.measurement import sample_noisy_distribution
@@ -240,7 +240,8 @@ def test_run_ga_deterministic() -> None:
 def test_run_ga_reports_consistent_best_score() -> None:
     truth, psi0, grid, target = star_problem(4)
     result = run_ga(target, psi0, grid, GAConfig(seed=5))
-    recomputed = fitness(result.best_chromosome, target, psi0, grid)
+    model = concatenated_distribution(result.best_chromosome, psi0, grid)
+    recomputed = batch_kld(model.flat[None, :], target.flat)[0]
     assert recomputed == result.best_score
 
 

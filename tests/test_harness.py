@@ -67,6 +67,10 @@ def test_experiment_spec_validation() -> None:
         ExperimentSpec(topology=star, n_values=(1,))
     with pytest.raises(ConfigError):
         ExperimentSpec(topology=star, n_values=(4,), runs=0)
+    for n in (4.5, True):
+        with pytest.raises(ConfigError, match="whole number"):
+            ExperimentSpec(topology=star, n_values=(n,))
+    assert ExperimentSpec(topology=star, n_values=(5.0,)).n_values == (5,)
 
 
 def small_spec(runs: int = 3) -> ExperimentSpec:
@@ -297,5 +301,14 @@ def test_load_target_malformed(tmp_path: Path) -> None:
     bad.write_text(json.dumps({"n": 2, "times": [0.5], "slices": [[0.5, 0.5]], "probe": 0}))
     with pytest.raises(ConfigError):
         load_target(bad)
+    for times, slices in (
+        ([True, 2], [[0.5, 0.5], [0.5, 0.5]]),
+        (["0.5", "0.6"], [[0.5, 0.5], [0.5, 0.5]]),
+        ([0.5, 0.6], [["0.5", 0.5], [0.5, 0.5]]),
+        ([0.5, 0.6], [[0.5, 0.5], [False, True]]),
+    ):
+        bad.write_text(json.dumps({"n": 2, "times": times, "slices": slices}))
+        with pytest.raises(ConfigError, match="must be a number"):
+            load_target(bad)
     with pytest.raises(OSError):
         load_target(tmp_path / "missing.json")
