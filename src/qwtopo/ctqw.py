@@ -15,8 +15,13 @@ differ.  The terms run until (x/2)^k / k! < 1e-18 with k > x for the
 largest x = a t, which bounds every dropped J_k(x).  Each vector is
 folded into the amplitudes as soon as it is made, in a fixed k order,
 with per-row operations only, so a row's result depends on its genome
-alone and not on its batch.  The recurrence is real: a real probe runs
-one, a complex probe runs its real and imaginary parts side by side.
+alone and not on its batch.  The adjacency matrices arrive as a uint8
+stack, gathered from the genome bits, and each propagated chunk scales
+its own to 2H/a in one float pass.  That scaled stack is C-contiguous:
+einsum's reduction order follows its operands' memory layout, and
+another layout can move a row's last bits with its batch.  The
+recurrence is real: a real probe runs one, a complex probe runs its
+real and imaginary parts side by side.
 :func:`spectral_propagator` (one eigendecomposition) stays as the
 reference the tests hold the expansion to.
 
@@ -265,9 +270,11 @@ def batch_site_distributions(
 
     One Chebyshev recurrence per batch serves all strings and all
     times; this is the hot path of the fitness evaluation.  The
-    Hamiltonians are built here on the calling thread; a batch of at least
-    2 * _SPLIT_MIN_ROWS rows is then propagated in chunks across the
-    process's CPUs, the first chunk on the calling thread.
+    adjacency stack is gathered here as bytes, on the calling thread; a
+    batch of at least 2 * _SPLIT_MIN_ROWS rows is then propagated in
+    chunks across the process's CPUs, the first chunk on the calling
+    thread, and each chunk scales its own matrices to a C-contiguous
+    float stack.
     """
     h = hamiltonian_stack(bits_matrix, n)
     n_chunks = len(h) // _SPLIT_MIN_ROWS
@@ -281,14 +288,16 @@ def batch_site_distributions(
 
 
 def _propagate(h: np.ndarray, amplitudes: np.ndarray, times: tuple[float, ...]) -> np.ndarray:
-    """Site distributions for an (m, n, n) Hamiltonian stack, as (m, K, n)."""
+    """Site distributions for an (m, n, n) uint8 adjacency stack, as (m, K, n)."""
     m, n, _ = h.shape
     scale, weights = _chebyshev_weights(n, times)
     # Columns of the recurrence: the probe's real part and, for a complex
     # probe, its imaginary part.
     parts = [amplitudes.real, amplitudes.imag] if amplitudes.imag.any() else [amplitudes.real]
     psi = np.stack(parts, axis=-1)[None]
-    h2 = h * (2.0 / scale)
+    # einsum's reduction order follows its operands' memory layout, so h2
+    # must be C-contiguous for a row's result not to depend on its batch.
+    h2 = np.multiply(h, 2.0 / scale, order="C")
     # Three vectors in turn, v_{k-1}, v_k and the next, and one scratch
     # term, all reused across steps.
     prev = np.repeat(psi, m, axis=0)

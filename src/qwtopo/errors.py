@@ -1,5 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check for whole counts."""
 from __future__ import annotations
+
+from numbers import Integral
 
 
 class TopologyError(ValueError):
@@ -12,3 +14,10 @@ class ShapeError(ValueError):
 
 class ConfigError(ValueError):
     """Inconsistent or out-of-range configuration values."""
+
+
+def whole_count(value, what: str) -> int:
+    """``value`` as an int if it is an integer (a numpy one too), else ConfigError; a bool is not a count."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigError(f"{what} must be a whole number, got {value!r}")

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ctqw import ConcatenatedDistribution, ProbeState, TimeGrid, batch_site_distributions
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, whole_count
 from .fitness import Metric, batch_kld, batch_kolmogorov
 from .graph import CouplingString
 
@@ -60,6 +60,10 @@ class GAConfig:
     metric: Metric = Metric.KLD
 
     def __post_init__(self) -> None:
+        if self.n_p is not None:
+            object.__setattr__(self, "n_p", whole_count(self.n_p, "population size"))
+        object.__setattr__(self, "k", whole_count(self.k, "tournament size"))
+        object.__setattr__(self, "n_g", whole_count(self.n_g, "generation budget"))
         if self.n_p is not None and self.n_p < 2:
             raise ConfigError(f"population size must be >= 2, got {self.n_p}")
         if not 0 <= self.p_e < 1:
@@ -113,7 +117,9 @@ def _breed(
     All pairs are bred in one vectorized pass; the generator is consumed
     in a fixed order (tournament draws, crossover gates, split points
     for the crossing pairs, mutation flips), which keeps runs
-    reproducible for a given seed.
+    reproducible for a given seed.  A crossing pair swaps the genes past
+    its split point in place: XOR-ing both parents with
+    swap = (first ^ second) & tail exchanges their tails.
     """
     n_p, n_c = bits.shape
     n_pairs = n_children // 2
@@ -127,7 +133,10 @@ def _breed(
         splits = np.full(n_pairs, n_c - 1)
         splits[gates] = rng.integers(0, n_c - 1, size=n_cross)
         tail = np.arange(n_c) > splits[:, None]
-        parents = np.where(tail[:, None, :], parents[:, ::-1], parents)
+        first, second = parents[:, 0], parents[:, 1]
+        swap = (first ^ second) & tail
+        first ^= swap
+        second ^= swap
     children = parents.reshape(2 * n_pairs, n_c)
     children ^= rng.random(size=children.shape) < cfg.p_m
     return children

@@ -42,13 +42,17 @@ def coupling_index(x: int, y: int, n: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _scatter_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions in an n x n matrix of the upper and lower triangle, in genome order."""
+def _gather_index(n: int) -> np.ndarray:
+    """For each entry of a flat n x n matrix, 1 + its genome position, or 0 off the couplings.
+
+    It indexes the columns of a bit matrix led by a zero column.
+    """
     rows, cols = np.triu_indices(n, k=1)
-    upper, lower = rows * n + cols, cols * n + rows
-    upper.setflags(write=False)
-    lower.setflags(write=False)
-    return upper, lower
+    index = np.zeros((n, n), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(1, rows.size + 1)
+    index = index.ravel()
+    index.setflags(write=False)
+    return index
 
 
 @dataclass(eq=False)
@@ -163,21 +167,23 @@ def build_topology(spec: TopologySpec, n: int) -> CouplingString:
 
 
 def to_hamiltonian(coupling: CouplingString) -> np.ndarray:
-    """Symmetric n x n adjacency Hamiltonian with zero diagonal."""
-    return hamiltonian_stack(coupling.bits[None, :], coupling.n)[0]
+    """Symmetric n x n float adjacency Hamiltonian with zero diagonal."""
+    return hamiltonian_stack(coupling.bits[None, :], coupling.n)[0].astype(float)
 
 
 def hamiltonian_stack(bits_matrix: np.ndarray, n: int) -> np.ndarray:
-    """(m, n, n) adjacency Hamiltonians of the rows of an (m, n_c) bit matrix."""
+    """C-contiguous (m, n, n) uint8 adjacency matrices of the rows of an (m, n_c) bit matrix.
+
+    The bits go behind a zero column, and one gather through a cached
+    index reads every matrix entry from there.
+    """
     bits_matrix = np.asarray(bits_matrix)
     m, n_c = bits_matrix.shape
     if n_c != n * (n - 1) // 2:
         raise TopologyError(f"expected {n * (n - 1) // 2} couplings for n={n}, got {n_c}")
-    upper, lower = _scatter_index(n)
-    h = np.zeros((m, n * n))
-    h[:, upper] = bits_matrix
-    h[:, lower] = bits_matrix
-    return h.reshape(m, n, n)
+    padded = np.zeros((m, n_c + 1), dtype=np.uint8)
+    padded[:, 1:] = bits_matrix
+    return padded.take(_gather_index(n), axis=1).reshape(m, n, n)
 
 
 def load_edge_list(path: str | Path) -> tuple[tuple[int, int], ...]:

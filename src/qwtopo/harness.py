@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .ctqw import ConcatenatedDistribution, ProbeState, TimeGrid, concatenated_distribution
-from .errors import ConfigError
+from .errors import ConfigError, whole_count
 from .ga import GAConfig, run_ga
 from .graph import TopologySpec, build_topology
 from .measurement import NoiseConfig, Outcome, monte_carlo_sweep
@@ -79,9 +79,7 @@ def node_count(value) -> int:
     """A whole node count from a JSON number: 5.0 is 5; 4.5, a string or a bool is an error."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ConfigError(f"node count must be a whole number, got {value!r}")
+    return whole_count(value, "node count")
 
 
 def run_seed(master_seed: int, topology_label: str, n: int, run: int) -> int:
@@ -111,6 +109,7 @@ class ExperimentSpec:
         if any(n < 2 for n in n_values):
             raise ConfigError(f"network sizes must be >= 2: {n_values}")
         object.__setattr__(self, "n_values", n_values)
+        object.__setattr__(self, "runs", whole_count(self.runs, "runs"))
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
 

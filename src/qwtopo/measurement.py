@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ctqw import ConcatenatedDistribution, ProbeState, SiteDistribution, TimeGrid, concatenated_distribution
-from .errors import ConfigError
+from .errors import ConfigError, whole_count
 from .ga import GAConfig, HaltReason, RunResult, SearchMemo, run_ga
 from .graph import CouplingString
 from .seeding import derive_seed
@@ -59,6 +59,8 @@ class NoiseConfig:
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ConfigError(f"thresholds must be strictly increasing: {thresholds}")
         object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "mc_runs", whole_count(self.mc_runs, "mc_runs"))
+        object.__setattr__(self, "inner_runs", whole_count(self.inner_runs, "inner_runs"))
         if self.mc_runs < 0:
             raise ConfigError(f"mc_runs must be >= 0, got {self.mc_runs}")
         if self.inner_runs < 1:

@@ -37,6 +37,20 @@ def test_ga_config_rejects_bad_values(kwargs) -> None:
         GAConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"n_p": 10.5}, {"n_p": True}, {"k": 2.0}, {"k": "6"}, {"n_g": 2.5}, {"n_g": True}]
+)
+def test_ga_config_counts_must_be_whole(kwargs) -> None:
+    with pytest.raises(ConfigError, match="whole number"):
+        GAConfig(**kwargs)
+
+
+def test_ga_config_reads_numpy_integer_counts_as_int() -> None:
+    cfg = GAConfig(n_p=np.int64(64), k=np.int32(3), n_g=np.uint8(7))
+    assert (cfg.n_p, cfg.k, cfg.n_g) == (64, 3, 7)
+    assert all(type(v) is int for v in (cfg.n_p, cfg.k, cfg.n_g))
+
+
 def test_ga_config_rejects_a_nan_threshold_but_not_inf() -> None:
     with pytest.raises(ConfigError):
         GAConfig(threshold=math.nan)
@@ -205,6 +219,17 @@ def test_breed_random_stream_is_pinned(n_c, n_p, n_children, cfg, digest, next_d
     assert children.dtype == np.uint8 and children.shape == (n_children, n_c)
     assert hashlib.sha256(children.tobytes()).hexdigest() == digest
     assert rng.random().hex() == next_draw
+
+
+# The n=10 search's shape under the default config: 45 couplings, a
+# population of 2 * 45**2 and 82 elites.
+BREED_PIN_STAR_10 = (45, 4050, 4050 - 82, {}, "57babc30e4e8014c348a4051aac4ec53a0b4b10d63049a0302d98a2c4fc76867",
+                     "0x1.80c3439284472p-2")
+
+
+def test_breed_random_stream_is_pinned_at_star_10_shape() -> None:
+    assert GAConfig().elite_count(4050) == 82
+    test_breed_random_stream_is_pinned(*BREED_PIN_STAR_10)
 
 
 def star_problem(n: int):

@@ -176,6 +176,19 @@ def test_hamiltonian_stack_matches_single() -> None:
         assert np.array_equal(h, to_hamiltonian(CouplingString(row, 5)))
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_hamiltonian_stack_matches_triu_reference(n: int) -> None:
+    rng = np.random.default_rng(n)
+    bits = rng.integers(0, 2, size=(6, n * (n - 1) // 2), dtype=np.uint8)
+    reference = np.zeros((6, n, n))
+    rows, cols = np.triu_indices(n, k=1)
+    reference[:, rows, cols] = bits
+    reference[:, cols, rows] = bits
+    stack = hamiltonian_stack(bits, n)
+    assert stack.flags.c_contiguous
+    assert np.array_equal(stack, reference)
+
+
 def test_hamiltonian_stack_rejects_wrong_width() -> None:
     with pytest.raises(TopologyError):
         hamiltonian_stack(np.zeros((3, 9), dtype=np.uint8), 5)

@@ -73,6 +73,15 @@ def test_experiment_spec_validation() -> None:
     assert ExperimentSpec(topology=star, n_values=(5.0,)).n_values == (5,)
 
 
+@pytest.mark.parametrize("runs", [1.5, 2.0, True, "3"])
+def test_experiment_spec_runs_must_be_whole(runs) -> None:
+    star = TopologySpec(TopologyKind.STAR)
+    with pytest.raises(ConfigError, match="whole number"):
+        ExperimentSpec(topology=star, n_values=(3,), runs=runs)
+    spec = ExperimentSpec(topology=star, n_values=(3,), runs=np.int64(2))
+    assert type(spec.runs) is int
+
+
 def small_spec(runs: int = 3) -> ExperimentSpec:
     return ExperimentSpec(
         topology=TopologySpec(TopologyKind.STAR), n_values=(4,), runs=runs

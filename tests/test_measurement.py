@@ -50,6 +50,16 @@ def test_noise_config_validation() -> None:
     assert NoiseConfig().thresholds == default_thresholds()
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"mc_runs": 1.5}, {"mc_runs": True}, {"inner_runs": 2.5}, {"inner_runs": False}]
+)
+def test_noise_config_counts_must_be_whole(kwargs) -> None:
+    with pytest.raises(ConfigError, match="whole number"):
+        NoiseConfig(**kwargs)
+    cfg = NoiseConfig(mc_runs=np.int64(3), inner_runs=np.int16(2))
+    assert (type(cfg.mc_runs), type(cfg.inner_runs)) == (int, int)
+
+
 def test_noise_config_rejects_nan_thresholds_but_not_inf() -> None:
     with pytest.raises(ConfigError):
         NoiseConfig(thresholds=(math.nan,))
