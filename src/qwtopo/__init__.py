@@ -8,7 +8,6 @@ finite-resource measurement noise.
 from .ctqw import (
     ConcatenatedDistribution,
     ProbeState,
-    SiteDistribution,
     TimeGrid,
     concatenated_distribution,
     spectral_propagator,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConcatenatedDistribution",
     "ProbeState",
-    "SiteDistribution",
     "TimeGrid",
     "concatenated_distribution",
     "spectral_propagator",

@@ -187,10 +187,7 @@ def _ga_from(args, cfg: dict) -> GAConfig:
 
 def _times_from(args, cfg: dict) -> TimeGrid:
     exp = cfg.get("experiment", {})
-    times = _pick(args.times, exp, "times", "0.5,0.6")
-    if isinstance(times, str):
-        return TimeGrid.parse(times)
-    return TimeGrid(_floats(times, "times"))
+    return TimeGrid(_floats(_pick(args.times, exp, "times", "0.5,0.6"), "times"))
 
 
 def _probe_from(args, cfg: dict, recorded: str | None = None) -> str:
@@ -244,7 +241,7 @@ def _cmd_simulate(args) -> int:
     if nr is not None:
         seed = _pick(args.seed, cfg.get("noise", {}), "seed", _NOISE_DEFAULT.seed, int)
         dist = sample_noisy_distribution(dist, nr, np.random.default_rng(seed))
-    print(json.dumps([float(p) for p in dist.flat]))
+    print(json.dumps(dist.flat.tolist()))
     if args.output:
         write_target(args.output, dist, grid, probe)
     return 0

@@ -1,5 +1,10 @@
 """Continuous-time quantum walk propagation and site statistics.
 
+The site statistics of a walk observed at K times are one (K, n) array
+of probabilities, row j over the n sites at the j-th time: a
+:class:`ConcatenatedDistribution` holds a read-only copy of it, and
+the batch path returns one such array per coupling string.
+
 The walker evolves under U(t) = exp(-iHt) with H the adjacency
 Hamiltonian of a coupling string (unit couplings, zero on-site
 energies).  The batch path expands exp(-iHt) psi in Chebyshev
@@ -46,7 +51,6 @@ from .graph import CouplingString, hamiltonian_stack
 __all__ = [
     "ProbeState",
     "TimeGrid",
-    "SiteDistribution",
     "ConcatenatedDistribution",
     "spectral_propagator",
     "concatenated_distribution",
@@ -100,7 +104,7 @@ class ProbeState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size < 1:
             raise ShapeError(f"amplitudes must be a nonempty vector, got shape {amps.shape}")
         norm = float(np.sum(np.abs(amps) ** 2))
@@ -164,77 +168,45 @@ class TimeGrid:
     def __len__(self) -> int:
         return len(self.times)
 
-    @classmethod
-    def parse(cls, text: str) -> TimeGrid:
-        """Parse a comma-separated list such as ``\"0.5,0.6,1\"``."""
-        try:
-            times = tuple(float(part) for part in text.split(","))
-        except ValueError:
-            raise ShapeError(f"cannot parse time grid {text!r}") from None
-        return cls(times)
 
-
-@dataclass(eq=False)
-class SiteDistribution:
-    """Occupation probabilities over the n sites at one time."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or probs.size < 1:
-            raise ShapeError(f"probabilities must be a nonempty vector, got shape {probs.shape}")
-        if not (probs >= 0).all():
-            raise ValueError(f"negative or NaN probability in {probs}")
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        probs.setflags(write=False)
-        self.probs = probs
-
-    @property
-    def n(self) -> int:
-        return self.probs.size
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ConcatenatedDistribution:
-    """Site distributions at K times, joined into one length K*n array.
+    """Site distributions at K times, as one read-only (K, n) array.
 
-    Each slice is individually normalized; the flattened array sums
-    to K.
+    Row j holds the occupation probabilities over the n sites at the
+    j-th time and sums to 1.  The array is a copy of the input.
     """
 
-    slices: tuple[SiteDistribution, ...]
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        slices = tuple(self.slices)
-        if not slices:
-            raise ShapeError("need at least one time slice")
-        n = slices[0].n
-        if any(s.n != n for s in slices):
-            raise ShapeError("all slices must have the same length")
-        self.slices = slices
+        try:
+            matrix = np.array(self.matrix, dtype=float)
+        except ValueError as exc:
+            raise ShapeError(f"expected a (K, n) matrix: {exc}") from None
+        if matrix.ndim != 2 or matrix.size < 1:
+            raise ShapeError(f"expected a nonempty (K, n) matrix, got shape {matrix.shape}")
+        if not (np.isfinite(matrix) & (matrix >= 0)).all():
+            raise ValueError(f"negative or non-finite probability in {matrix}")
+        totals = matrix.sum(axis=1)
+        off = np.flatnonzero(np.abs(totals - 1.0) > 1e-10)
+        if off.size:
+            raise ValueError(f"probabilities at time {off[0]} sum to {float(totals[off[0]])!r}, not 1")
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def n(self) -> int:
-        return self.slices[0].n
+        return self.matrix.shape[1]
 
     @property
     def k(self) -> int:
-        return len(self.slices)
+        return self.matrix.shape[0]
 
     @property
     def flat(self) -> np.ndarray:
-        """A new length K*n array, slice by slice, built on each access."""
-        return np.concatenate([s.probs for s in self.slices])
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> ConcatenatedDistribution:
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise ShapeError(f"expected a (K, n) matrix, got shape {matrix.shape}")
-        return cls(tuple(SiteDistribution(row) for row in matrix))
+        """The K*n probabilities time by time, as a read-only view."""
+        return self.matrix.ravel()
 
 
 def spectral_propagator(h: np.ndarray, t: float) -> np.ndarray:
@@ -260,7 +232,7 @@ def concatenated_distribution(
     if psi0.n != coupling.n:
         raise ShapeError(f"probe has {psi0.n} amplitudes but the network has {coupling.n} nodes")
     matrix = batch_site_distributions(coupling.bits[None, :], coupling.n, psi0.amplitudes, grid.times)[0]
-    return ConcatenatedDistribution.from_matrix(matrix)
+    return ConcatenatedDistribution(matrix)
 
 
 def batch_site_distributions(

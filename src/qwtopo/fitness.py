@@ -1,7 +1,7 @@
 """Divergence metrics scoring a candidate network against the target.
 
 Scores are computed over the concatenated multi-time array without
-renormalizing across slices, so the total is the sum of per-time
+renormalizing across times, so the total is the sum of per-time
 divergences.  Lower is fitter; zero means the candidate reproduces the
 target exactly.
 """

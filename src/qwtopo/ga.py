@@ -64,6 +64,7 @@ class GAConfig:
             object.__setattr__(self, "n_p", whole_count(self.n_p, "population size"))
         object.__setattr__(self, "k", whole_count(self.k, "tournament size"))
         object.__setattr__(self, "n_g", whole_count(self.n_g, "generation budget"))
+        object.__setattr__(self, "seed", whole_count(self.seed, "seed"))
         if self.n_p is not None and self.n_p < 2:
             raise ConfigError(f"population size must be >= 2, got {self.n_p}")
         if not 0 <= self.p_e < 1:
@@ -195,7 +196,7 @@ class SearchMemo:
         if psi0.n != n:
             raise ShapeError(f"probe has {psi0.n} amplitudes but the target has {n} sites")
         if len(grid) != target.k:
-            raise ShapeError(f"grid has {len(grid)} times but the target has {target.k} slices")
+            raise ShapeError(f"grid has {len(grid)} times but the target has {target.k}")
         if n < 2:
             raise ConfigError(f"need at least 2 nodes to search, got n={n}")
         self.n, self.psi0, self.grid, self.metric = n, psi0, grid, metric

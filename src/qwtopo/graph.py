@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TopologyError
+from .errors import TopologyError, whole_count
 
 __all__ = [
     "CouplingString",
@@ -67,6 +67,7 @@ class CouplingString:
     n: int
 
     def __post_init__(self) -> None:
+        self.n = whole_count(self.n, "node count")
         if self.n < 1:
             raise TopologyError(f"node count must be >= 1, got {self.n}")
         bits = np.asarray(self.bits)

@@ -349,18 +349,18 @@ def report_from_json(text: str) -> BenchmarkReport | SweepReport:
 def write_target(
     path: str | Path, dist: ConcatenatedDistribution, grid: TimeGrid, probe: str
 ) -> Path:
-    """Save a target distribution as JSON {n, times, probe, slices}.
+    """Save a target distribution as JSON {n, times, probe, slices}, one row per time.
 
     ``probe`` is the label of the initial state the walk started from.
     """
     if len(grid) != dist.k:
-        raise ConfigError(f"grid has {len(grid)} times but the distribution has {dist.k} slices")
+        raise ConfigError(f"grid has {len(grid)} times but the distribution has {dist.k}")
     target = resolve_output_path(path)
     obj = {
         "n": dist.n,
         "times": list(grid.times),
         "probe": probe,
-        "slices": [list(map(float, s.probs)) for s in dist.slices],
+        "slices": dist.matrix.tolist(),
     }
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -389,15 +389,15 @@ def load_target(path: str | Path) -> tuple[TimeGrid, ConcatenatedDistribution, s
         n = node_count(obj["n"])
         grid = TimeGrid(tuple(json_number(t, "a time") for t in obj["times"]))
         rows = obj["slices"]
-        slices = np.asarray([[json_number(p, "a slice entry") for p in row] for row in rows], dtype=float)
+        matrix = np.asarray([[json_number(p, "a slice entry") for p in row] for row in rows], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"target file {path} is malformed: {exc}") from None
     probe = obj.get("probe")
     if probe is not None and not isinstance(probe, str):
         raise ConfigError(f"target file {path}: probe must be a label, got {probe!r}")
-    if slices.ndim != 2 or slices.shape != (len(grid), n):
+    if matrix.ndim != 2 or matrix.shape != (len(grid), n):
         raise ConfigError(
-            f"target file {path}: slices shape {slices.shape} does not match "
+            f"target file {path}: a {matrix.shape} array of probabilities does not match "
             f"{len(grid)} times and n={n}"
         )
-    return grid, ConcatenatedDistribution.from_matrix(slices), probe
+    return grid, ConcatenatedDistribution(matrix), probe

@@ -1,7 +1,8 @@
 """Finite-resource measurement noise and threshold-sweep classification.
 
 Measured probabilities are simulated by Poisson-sampling each bin with
-N_r expected shots per time slice and renormalizing.  A reconstruction
+N_r expected shots per time, in one draw over the whole (K, n)
+distribution, and renormalizing each time's counts.  A reconstruction
 against a noisy target halts when its fitness drops below a threshold
 T; sweeping T and classifying each run as TP/FP/TN/FN reproduces the
 four-outcome analysis.
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ctqw import ConcatenatedDistribution, ProbeState, SiteDistribution, TimeGrid, concatenated_distribution
+from .ctqw import ConcatenatedDistribution, ProbeState, TimeGrid, concatenated_distribution
 from .errors import ConfigError, whole_count
 from .ga import GAConfig, HaltReason, RunResult, SearchMemo, run_ga
 from .graph import CouplingString
@@ -51,6 +52,8 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_r", whole_count(self.n_r, "resource count"))
+        object.__setattr__(self, "seed", whole_count(self.seed, "seed"))
         if self.n_r < 1:
             raise ConfigError(f"resource count must be >= 1, got {self.n_r}")
         thresholds = tuple(float(t) for t in self.thresholds or default_thresholds())
@@ -77,24 +80,18 @@ class Outcome(enum.Enum):
 def sample_noisy_distribution(
     truth: ConcatenatedDistribution, n_r: int, rng: np.random.Generator
 ) -> ConcatenatedDistribution:
-    """Estimate the distribution from Poisson counts with N_r shots per slice.
+    """Estimate the distribution from Poisson counts with N_r shots per time.
 
-    Each bin draws count ~ Poisson(N_r * p) independently; the slice
-    estimate is counts / sum(counts).  A slice whose counts are all
-    zero falls back to uniform.
+    Each bin draws count ~ Poisson(N_r * p) independently, in one call
+    over the (K, n) array; each time's estimate is its counts over
+    their sum.  A time whose counts are all zero falls back to uniform.
     """
+    n_r = whole_count(n_r, "resource count")
     if n_r < 1:
         raise ConfigError(f"resource count must be >= 1, got {n_r}")
-    slices = []
-    for s in truth.slices:
-        counts = rng.poisson(n_r * s.probs)
-        total = counts.sum()
-        if total == 0:
-            estimate = np.full(s.n, 1.0 / s.n)
-        else:
-            estimate = counts / total
-        slices.append(SiteDistribution(estimate))
-    return ConcatenatedDistribution(tuple(slices))
+    counts = rng.poisson(n_r * truth.matrix)
+    totals = counts.sum(axis=1, keepdims=True)
+    return ConcatenatedDistribution(np.where(totals > 0, counts / np.maximum(totals, 1), 1.0 / truth.n))
 
 
 def classify_outcome(result: RunResult, truth: CouplingString) -> Outcome:

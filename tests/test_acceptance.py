@@ -118,9 +118,9 @@ def test_criterion_01_two_node_closed_form(acceptance_log) -> None:
     times = (0.1, 0.5, 0.6, 1.0, math.pi / 2)
     dist = concatenated_distribution(coupling, psi0, TimeGrid(times))
     worst = 0.0
-    for t, s in zip(times, dist.slices):
+    for t, probs in zip(times, dist.matrix):
         expected = np.array([math.cos(t) ** 2, math.sin(t) ** 2])
-        worst = max(worst, float(np.max(np.abs(s.probs - expected))))
+        worst = max(worst, float(np.max(np.abs(probs - expected))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 1.0
     acceptance_log(
@@ -183,16 +183,16 @@ def test_criterion_04_divergence_properties(acceptance_log) -> None:
         k = int(rng.integers(1, 4))
         raw = rng.random((2, k, n)) + 1e-3
         raw /= raw.sum(axis=2, keepdims=True)
-        a = ConcatenatedDistribution.from_matrix(raw[0])
-        b = ConcatenatedDistribution.from_matrix(raw[1])
+        a = ConcatenatedDistribution(raw[0])
+        b = ConcatenatedDistribution(raw[1])
         value = kld_of(a, b)
         nonneg_ok &= value >= 0.0
         zero_iff_ok &= (value == 0.0) == np.array_equal(raw[0], raw[1])
         zero_iff_ok &= kld_of(a, a) == 0.0
 
     half = kld_of(
-        ConcatenatedDistribution.from_matrix(np.array([[0.5, 0.5]])),
-        ConcatenatedDistribution.from_matrix(np.array([[0.25, 0.75]])),
+        ConcatenatedDistribution(np.array([[0.5, 0.5]])),
+        ConcatenatedDistribution(np.array([[0.25, 0.75]])),
     )
     half_expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
 

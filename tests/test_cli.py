@@ -354,6 +354,25 @@ def test_simulate_rejects_non_finite_times(capsys, times: str) -> None:
     assert code == 1 and out == "" and "finite" in err
 
 
+def test_simulate_rejects_unparsable_times(capsys) -> None:
+    code, out, err = run_cli(capsys, "simulate", "--topology", "star", "--n", "3", "--times", "0.5,x")
+    assert code == 1 and out == "" and "cannot parse times" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_times_parse_from_flag_and_config(tmp_path, capsys, source: str) -> None:
+    argv = ["simulate", "--topology", "star", "--n", "3", "--output", str(tmp_path / "t.json")]
+    if source == "flag":
+        argv += ["--times", "0.5,0.6,1"]
+    else:
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"experiment": {"times": "0.5,0.6,1"}}))
+        argv += ["--config", str(config)]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert load_target(tmp_path / "t.json")[0].times == (0.5, 0.6, 1.0)
+
+
 def test_simulate_infinite_time_exits_at_once() -> None:
     # --times inf used to loop forever counting Chebyshev terms
     proc = subprocess.run(

@@ -13,7 +13,6 @@ from qwtopo import ctqw
 from qwtopo.ctqw import (
     ConcatenatedDistribution,
     ProbeState,
-    SiteDistribution,
     TimeGrid,
     batch_site_distributions,
     concatenated_distribution,
@@ -41,6 +40,15 @@ def taylor_propagator(h: np.ndarray, t: float, terms: int = 30) -> np.ndarray:
 def test_probe_state_requires_normalization() -> None:
     with pytest.raises(ValueError):
         ProbeState(np.array([1.0, 1.0]))
+
+
+def test_probe_state_copies_and_leaves_the_caller_array_writable() -> None:
+    amps = np.array([1 + 0j, 0j])
+    probe = ProbeState(amps)
+    assert amps.flags.writeable
+    assert not probe.amplitudes.flags.writeable
+    amps[0] = 0j
+    assert probe.amplitudes[0] == 1
 
 
 def test_probe_state_rejects_bad_shape() -> None:
@@ -75,18 +83,10 @@ def test_time_grid_validation() -> None:
     assert TimeGrid((0.0, 0.5)).times == (0.0, 0.5)
 
 
-def test_time_grid_parse() -> None:
-    assert TimeGrid.parse("0.5,0.6,1").times == (0.5, 0.6, 1.0)
-    with pytest.raises(ShapeError):
-        TimeGrid.parse("0.5,x")
-
-
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_time_grid_rejects_non_finite_times(bad: float) -> None:
     with pytest.raises(ShapeError, match="finite"):
         TimeGrid((0.5, bad))
-    with pytest.raises(ShapeError, match="finite"):
-        TimeGrid.parse(f"{bad},0.5")
 
 
 def test_batch_propagation_caps_the_scaled_time() -> None:
@@ -112,14 +112,21 @@ def test_batch_propagation_rejects_non_finite_times(times: tuple[float, ...]) ->
 @pytest.mark.parametrize("probs", [[math.nan, 0.5], [0.5, 0.5, math.nan], [math.inf, 0.0], [math.inf, -math.inf]])
 def test_site_distribution_rejects_non_finite(probs: list[float]) -> None:
     with pytest.raises(ValueError):
-        SiteDistribution(np.array(probs))
+        ConcatenatedDistribution(np.array([probs]))
+    # in a later row too
+    with pytest.raises(ValueError):
+        ConcatenatedDistribution(np.array([[1.0] + [0.0] * (len(probs) - 1), probs]))
 
 
 def test_site_distribution_validation() -> None:
     with pytest.raises(ValueError):
-        SiteDistribution(np.array([0.5, 0.6]))
+        ConcatenatedDistribution(np.array([[0.5, 0.6]]))
     with pytest.raises(ValueError):
-        SiteDistribution(np.array([-0.1, 1.1]))
+        ConcatenatedDistribution(np.array([[-0.1, 1.1]]))
+    with pytest.raises(ValueError, match="time 1"):
+        ConcatenatedDistribution(np.array([[0.5, 0.5], [0.5, 0.6]]))
+    with pytest.raises(ValueError):
+        ConcatenatedDistribution(np.array([[0.5, 0.5], [-0.1, 1.1]]))
 
 
 def test_propagator_zero_hamiltonian_is_identity() -> None:
@@ -198,9 +205,9 @@ def test_site_distribution_two_node_closed_form() -> None:
     psi0 = ProbeState.localized(2)
     times = (0.1, 0.5, 0.6, 1.0, math.pi / 2)
     dist = concatenated_distribution(cs, psi0, TimeGrid(times))
-    for t, s in zip(times, dist.slices):
-        assert abs(s.probs[0] - math.cos(t) ** 2) < 1e-10
-        assert abs(s.probs[1] - math.sin(t) ** 2) < 1e-10
+    for t, probs in zip(times, dist.matrix):
+        assert abs(probs[0] - math.cos(t) ** 2) < 1e-10
+        assert abs(probs[1] - math.sin(t) ** 2) < 1e-10
 
 
 def test_site_distribution_uniform_probe_is_stationary_on_complete() -> None:
@@ -228,7 +235,7 @@ def test_concatenated_single_slice_matches_site_distribution() -> None:
     psi0 = ProbeState.ramp(6)
     combined = concatenated_distribution(cs, psi0, TimeGrid((0.7,)))
     assert combined.k == 1
-    assert np.allclose(combined.slices[0].probs, spectral_probs(cs, psi0, 0.7), atol=1e-12)
+    assert np.allclose(combined.matrix[0], spectral_probs(cs, psi0, 0.7), atol=1e-12)
 
 
 def test_concatenated_two_node_example() -> None:
@@ -251,28 +258,47 @@ def test_concatenated_empty_graph_repeats_initial_state() -> None:
     psi0 = ProbeState.ramp(5)
     dist = concatenated_distribution(cs, psi0, TimeGrid((0.5, 0.6, 1.0)))
     expected = np.abs(psi0.amplitudes) ** 2
-    for s in dist.slices:
-        assert np.allclose(s.probs, expected, atol=1e-12)
+    for probs in dist.matrix:
+        assert np.allclose(probs, expected, atol=1e-12)
 
 
 def test_concatenated_matrix_round_trip() -> None:
     rng = np.random.default_rng(16)
     cs = random_coupling(4, rng)
     dist = concatenated_distribution(cs, ProbeState.ramp(4), TimeGrid((0.5, 0.6)))
-    rebuilt = ConcatenatedDistribution.from_matrix(dist.flat.reshape(dist.k, dist.n))
+    rebuilt = ConcatenatedDistribution(dist.flat.reshape(dist.k, dist.n))
     assert np.array_equal(rebuilt.flat, dist.flat)
     assert rebuilt.n == 4 and rebuilt.k == 2
+    assert dist.matrix.shape == (2, 4)
+    assert np.array_equal(dist.flat, dist.matrix.ravel())
 
 
 def test_concatenated_validation() -> None:
     with pytest.raises(ShapeError):
         ConcatenatedDistribution(())
-    a = SiteDistribution(np.array([0.5, 0.5]))
-    b = SiteDistribution(np.array([0.2, 0.3, 0.5]))
     with pytest.raises(ShapeError):
-        ConcatenatedDistribution((a, b))
+        ConcatenatedDistribution(np.zeros((0, 3)))
     with pytest.raises(ShapeError):
-        ConcatenatedDistribution.from_matrix(np.zeros(4))
+        ConcatenatedDistribution(np.zeros((2, 0)))
+    with pytest.raises(ShapeError):
+        ConcatenatedDistribution([[0.5, 0.5], [0.2, 0.3, 0.5]])
+    with pytest.raises(ShapeError):
+        ConcatenatedDistribution(np.zeros(4))
+    with pytest.raises(ShapeError):
+        ConcatenatedDistribution(np.full((1, 2, 2), 0.5))
+
+
+def test_concatenated_owns_a_read_only_copy() -> None:
+    rows = np.array([[0.5, 0.5], [0.25, 0.75]])
+    dist = ConcatenatedDistribution(rows)
+    assert rows.flags.writeable
+    rows[0, 0] = 0.0
+    assert dist.matrix[0, 0] == 0.5
+    for view in (dist.matrix, dist.flat):
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0] = 1.0
+    assert np.shares_memory(dist.flat, dist.matrix)
 
 
 def test_every_distribution_normalized() -> None:

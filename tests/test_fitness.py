@@ -13,7 +13,7 @@ from qwtopo.graph import CouplingString, TopologyKind, TopologySpec, build_topol
 
 
 def dist(*rows) -> ConcatenatedDistribution:
-    return ConcatenatedDistribution.from_matrix(np.array(rows, dtype=float))
+    return ConcatenatedDistribution(np.array(rows, dtype=float))
 
 
 def kld_of(model: ConcatenatedDistribution, target: ConcatenatedDistribution) -> float:
@@ -28,7 +28,7 @@ def kolmogorov_of(model: ConcatenatedDistribution, target: ConcatenatedDistribut
 
 def random_dist(rng: np.random.Generator, n: int, k: int) -> ConcatenatedDistribution:
     rows = rng.random((k, n)) + 1e-3
-    return ConcatenatedDistribution.from_matrix(rows / rows.sum(axis=1, keepdims=True))
+    return ConcatenatedDistribution(rows / rows.sum(axis=1, keepdims=True))
 
 
 def test_kld_identical_is_zero() -> None:

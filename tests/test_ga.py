@@ -46,9 +46,15 @@ def test_ga_config_counts_must_be_whole(kwargs) -> None:
 
 
 def test_ga_config_reads_numpy_integer_counts_as_int() -> None:
-    cfg = GAConfig(n_p=np.int64(64), k=np.int32(3), n_g=np.uint8(7))
-    assert (cfg.n_p, cfg.k, cfg.n_g) == (64, 3, 7)
-    assert all(type(v) is int for v in (cfg.n_p, cfg.k, cfg.n_g))
+    cfg = GAConfig(n_p=np.int64(64), k=np.int32(3), n_g=np.uint8(7), seed=np.int64(5))
+    assert (cfg.n_p, cfg.k, cfg.n_g, cfg.seed) == (64, 3, 7, 5)
+    assert all(type(v) is int for v in (cfg.n_p, cfg.k, cfg.n_g, cfg.seed))
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "3"])
+def test_ga_config_seed_must_be_whole(seed) -> None:
+    with pytest.raises(ConfigError, match="seed must be a whole number"):
+        GAConfig(seed=seed)
 
 
 def test_ga_config_rejects_a_nan_threshold_but_not_inf() -> None:
@@ -448,7 +454,7 @@ def test_run_ga_rejects_mismatches() -> None:
 def test_run_ga_rejects_single_node_target() -> None:
     from qwtopo.ctqw import ConcatenatedDistribution
 
-    target = ConcatenatedDistribution.from_matrix(np.array([[1.0]]))
+    target = ConcatenatedDistribution(np.array([[1.0]]))
     with pytest.raises(ConfigError):
         run_ga(target, ProbeState.ramp(1), TimeGrid((0.5,)), GAConfig(seed=0))
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qwtopo.errors import TopologyError
+from qwtopo.errors import ConfigError, TopologyError
 from qwtopo.graph import (
     CouplingString,
     TopologyKind,
@@ -49,6 +49,16 @@ def test_coupling_index_rejects_bad_edges(x: int, y: int) -> None:
 def test_coupling_string_validates_length() -> None:
     with pytest.raises(TopologyError):
         CouplingString(np.array([1, 0]), 3)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+def test_coupling_string_node_count_must_be_whole(n) -> None:
+    with pytest.raises(ConfigError, match="node count must be a whole number"):
+        CouplingString(np.array([1]), n)
+
+
+def test_coupling_string_reads_numpy_node_count_as_int() -> None:
+    assert type(CouplingString(np.array([1]), np.int64(2)).n) is int
 
 
 def test_coupling_string_validates_binary() -> None:

@@ -60,6 +60,17 @@ def test_noise_config_counts_must_be_whole(kwargs) -> None:
     assert (type(cfg.mc_runs), type(cfg.inner_runs)) == (int, int)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"seed": 2.5}, {"seed": True}, {"n_r": True}, {"n_r": 2.5}, {"n_r": 500.0}, {"n_r": "500"}]
+)
+def test_noise_config_seed_and_shots_must_be_whole(kwargs) -> None:
+    with pytest.raises(ConfigError, match="whole number"):
+        NoiseConfig(**kwargs)
+    cfg = NoiseConfig(n_r=np.int64(50), seed=np.uint16(3))
+    assert (cfg.n_r, cfg.seed) == (50, 3)
+    assert (type(cfg.n_r), type(cfg.seed)) == (int, int)
+
+
 def test_noise_config_rejects_nan_thresholds_but_not_inf() -> None:
     with pytest.raises(ConfigError):
         NoiseConfig(thresholds=(math.nan,))
@@ -77,9 +88,9 @@ def test_sample_noisy_slices_are_distributions() -> None:
     target = two_slice_target()
     noisy = sample_noisy_distribution(target, 500, np.random.default_rng(0))
     assert noisy.n == target.n and noisy.k == target.k
-    for s in noisy.slices:
-        assert np.all(s.probs >= 0)
-        assert np.isclose(s.probs.sum(), 1.0, atol=1e-10)
+    for probs in noisy.matrix:
+        assert np.all(probs >= 0)
+        assert np.isclose(probs.sum(), 1.0, atol=1e-10)
 
 
 def test_sample_noisy_deterministic() -> None:
@@ -91,10 +102,10 @@ def test_sample_noisy_deterministic() -> None:
 
 def test_sample_noisy_concentrated_distribution() -> None:
     # all weight on one site stays there: counts land in a single bin
-    target = ConcatenatedDistribution.from_matrix(np.array([[1.0, 0.0]]))
+    target = ConcatenatedDistribution(np.array([[1.0, 0.0]]))
     noisy = sample_noisy_distribution(target, 50, np.random.default_rng(1))
-    assert noisy.slices[0].probs[0] == 1.0
-    assert noisy.slices[0].probs[1] == 0.0
+    assert noisy.matrix[0, 0] == 1.0
+    assert noisy.matrix[0, 1] == 0.0
 
 
 def test_sample_noisy_zero_counts_fall_back_to_uniform() -> None:
@@ -102,10 +113,35 @@ def test_sample_noisy_zero_counts_fall_back_to_uniform() -> None:
     # expected counts ~ p/1e9 per bin, so every draw is zero
     for seed in range(5):
         noisy = sample_noisy_distribution(target, 1, np.random.default_rng(seed))
-        flats = [s for s in noisy.slices if np.allclose(s.probs, 1.0 / target.n)]
+        flats = [probs for probs in noisy.matrix if np.allclose(probs, 1.0 / target.n)]
         if flats:
             return
     pytest.fail("no all-zero slice observed at n_r=1 in 5 seeds")
+
+
+def test_sample_noisy_falls_back_to_uniform_row_by_row() -> None:
+    # a time with no shots turns uniform; a time with shots keeps its estimate
+    rows = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    totals = [np.random.default_rng(seed).poisson(rows).sum(axis=1) for seed in range(100)]
+    seed = next(seed for seed, (first, second) in enumerate(totals) if first == 0 < second)
+    noisy = sample_noisy_distribution(ConcatenatedDistribution(rows), 1, np.random.default_rng(seed))
+    assert noisy.matrix.tolist() == [[1 / 3] * 3, [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("n_r", [1, 500])
+def test_sample_noisy_matches_a_draw_per_time(seed: int, n_r: int) -> None:
+    """One Poisson call over the (K, n) array reads the stream as K row calls would."""
+    target = concatenated_distribution(
+        build_topology(TopologySpec(TopologyKind.STAR), 5), ProbeState.ramp(5), TimeGrid((0.5, 0.6, 1.0))
+    )
+    rng = np.random.default_rng(seed)
+    expected = []
+    for probs in target.matrix:
+        counts = rng.poisson(n_r * probs)
+        expected.append(counts / counts.sum() if counts.sum() else np.full(5, 1 / 5))
+    noisy = sample_noisy_distribution(target, n_r, np.random.default_rng(seed))
+    assert noisy.matrix.tobytes() == np.array(expected).tobytes()
 
 
 def test_sample_noisy_converges_with_counts() -> None:
@@ -118,6 +154,12 @@ def test_sample_noisy_rejects_bad_counts() -> None:
     target = two_slice_target()
     with pytest.raises(ConfigError):
         sample_noisy_distribution(target, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n_r", [2.5, 500.0, True, "500"])
+def test_sample_noisy_shot_count_must_be_whole(n_r) -> None:
+    with pytest.raises(ConfigError, match="whole number"):
+        sample_noisy_distribution(two_slice_target(), n_r, np.random.default_rng(0))
 
 
 def make_result(chromosome: CouplingString, halted_by: HaltReason) -> RunResult:
