@@ -237,10 +237,11 @@ def _cmd_simulate(args) -> int:
     grid = _times_from(args, cfg)
     probe = _probe_from(args, cfg)
     dist = concatenated_distribution(build_topology(spec, n), make_probe(probe, n), grid)
-    nr = _pick(args.nr, cfg.get("noise", {}), "n_r", None, int)
+    section = cfg.get("noise", {})
+    nr = _pick(args.nr, section, "n_r", None, int)
     if nr is not None:
-        seed = _pick(args.seed, cfg.get("noise", {}), "seed", _NOISE_DEFAULT.seed, int)
-        dist = sample_noisy_distribution(dist, nr, np.random.default_rng(seed))
+        noise = NoiseConfig(n_r=nr, seed=_pick(args.seed, section, "seed", _NOISE_DEFAULT.seed, int))
+        dist = sample_noisy_distribution(dist, noise.n_r, np.random.default_rng(noise.seed))
     print(json.dumps(dist.flat.tolist()))
     if args.output:
         write_target(args.output, dist, grid, probe)

@@ -210,7 +210,10 @@ class ConcatenatedDistribution:
 
 
 def spectral_propagator(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary exp(-iHt) for real symmetric H, via eigendecomposition."""
+    """Unitary exp(-iHt) for real symmetric H, via eigendecomposition.
+
+    The reference the tests hold the batch path to; no package code calls it.
+    """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeError(f"Hamiltonian must be square, got shape {h.shape}")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the check for whole counts."""
+"""Exception types shared across the package, and the checks for whole counts and seeds."""
 from __future__ import annotations
 
 from numbers import Integral
@@ -21,3 +21,10 @@ def whole_count(value, what: str) -> int:
     if isinstance(value, Integral) and not isinstance(value, bool):
         return int(value)
     raise ConfigError(f"{what} must be a whole number, got {value!r}")
+
+
+def seed_value(value) -> int:
+    """``value`` as a seed: a whole number >= 0, since NumPy refuses a negative one; else ConfigError."""
+    if (seed := whole_count(value, "seed")) < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed

@@ -10,15 +10,13 @@ zero fitness, or after n_g generations.
 from __future__ import annotations
 
 import enum
-import weakref
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .ctqw import ConcatenatedDistribution, ProbeState, TimeGrid, batch_site_distributions
-from .errors import ConfigError, ShapeError, whole_count
+from .errors import ConfigError, ShapeError, seed_value, whole_count
 from .fitness import Metric, batch_kld, batch_kolmogorov
 from .graph import CouplingString
 
@@ -64,7 +62,7 @@ class GAConfig:
             object.__setattr__(self, "n_p", whole_count(self.n_p, "population size"))
         object.__setattr__(self, "k", whole_count(self.k, "tournament size"))
         object.__setattr__(self, "n_g", whole_count(self.n_g, "generation budget"))
-        object.__setattr__(self, "seed", whole_count(self.seed, "seed"))
+        object.__setattr__(self, "seed", seed_value(self.seed))
         if self.n_p is not None and self.n_p < 2:
             raise ConfigError(f"population size must be >= 2, got {self.n_p}")
         if not 0 <= self.p_e < 1:
@@ -173,12 +171,11 @@ def _evaluate(bits: np.ndarray, memo: SearchMemo) -> tuple[np.ndarray, int]:
 
 
 class _Record(NamedTuple):
-    """One generation of a search, as the halt test reads it."""
+    """One generation of a search, as the halt rule reads it."""
 
     current: float  # this generation's best score
     best_score: float  # best score seen up to and including it
     best_bits: np.ndarray  # the genome that scored best_score
-    fresh: int  # genomes this generation added to the score memo
 
 
 class SearchMemo:
@@ -186,9 +183,8 @@ class SearchMemo:
 
     It checks the shapes once, here, and ``run_ga`` raises ConfigError
     for a run against another objective.  ``scores`` maps genome bytes
-    to score.  ``runs`` maps a config with its threshold dropped to that
-    search's records so far and the suspended generator that makes the
-    next one.
+    to score.  ``runs`` maps a config with its threshold dropped to the
+    longest trajectory recorded for it, one record per generation.
     """
 
     def __init__(self, target: ConcatenatedDistribution, psi0: ProbeState, grid: TimeGrid, metric: Metric) -> None:
@@ -202,7 +198,7 @@ class SearchMemo:
         self.n, self.psi0, self.grid, self.metric = n, psi0, grid, metric
         self.target_flat = target.flat
         self.scores: dict[bytes, float] = {}
-        self.runs: dict[GAConfig, tuple[list[_Record], Iterator[_Record]]] = {}
+        self.runs: dict[GAConfig, list[_Record]] = {}
 
     def serves(self, target: ConcatenatedDistribution, psi0: ProbeState, grid: TimeGrid, metric: Metric) -> bool:
         """Whether the objective is this memo's, comparing the target and probe by value."""
@@ -224,80 +220,67 @@ def run_ga(
     """Search for the coupling string whose walk statistics match the target.
 
     Per generation: score everyone, halt if the generation's best beats
-    the configured threshold (checked first) or is zero, that is below
-    ZERO_TOL (scores are never negative), otherwise clone the hall of
-    fame and breed the rest.
-    Returns the best individual ever seen.  ``evaluations`` counts
-    distinct genomes scored; repeats are served from a memo and cost
-    nothing.
+    the threshold (checked first) or is below ZERO_TOL (scores are never
+    negative), otherwise clone the hall of fame and breed the rest.
+    Returns the best individual ever seen; ``evaluations`` counts the
+    distinct genomes scored that were not in the memo yet.
 
-    ``cache`` is the memo, made for this target, probe, times and
-    metric by default.  A memo serves one such objective, since a score
-    depends on nothing else and a row's distribution does not depend on
-    its batch; a memo made for another target, probe, times or metric
-    raises ConfigError (target and probe are compared by value).  With
-    a shared memo, ``evaluations`` counts only the genomes that were not
-    in it yet.  The threshold is tested before breeding and draws no random
-    numbers, so searches that differ only in threshold follow one
-    trajectory: the memo records it, and a search replays the recorded
-    prefix and breeds only the generations past it.
+    ``cache`` is the memo, a fresh one by default; a memo made for
+    another target, probe, times or metric raises ConfigError (target
+    and probe are compared by value).  The threshold test draws no
+    random numbers, so searches that differ only in threshold follow one
+    trajectory, which the memo records.  A search whose outcome the
+    records decide is read off them; any other runs from generation 0
+    again, re-breeding the recorded prefix from memoised scores.
     """
     if cache is None:
         cache = SearchMemo(target, psi0, grid, config.metric)
     elif not cache.serves(target, psi0, grid, config.metric):
         raise ConfigError("the memo was made for another target, probe, times or metric")
     search = replace(config, threshold=None)
-    if search not in cache.runs:
-        # Through a weak proxy, the generator the memo stores holds no cycle
-        # back to it, so a memo no caller keeps is freed at once.
-        cache.runs[search] = ([], _generations(weakref.proxy(cache), search))
-    records, steps = cache.runs[search]
-    evaluations = 0
-    for gen in range(config.n_g):
-        if gen == len(records):
-            records.append(next(steps))
-            evaluations += records[gen].fresh
-        record = records[gen]
-        if config.threshold is not None and record.current < config.threshold:
-            return _result(record, cache.n, gen, HaltReason.THRESHOLD, evaluations)
-        if record.current < ZERO_TOL:
-            return _result(record, cache.n, gen, HaltReason.ZERO_FITNESS, evaluations)
-    return _result(records[-1], cache.n, config.n_g, HaltReason.MAX_GENERATIONS, evaluations)
-
-
-def _generations(memo: SearchMemo, config: GAConfig) -> Iterator[_Record]:
-    """The search's records, one per generation up to n_g.
-
-    Generation g + 1 is bred only when its record is pulled, so the
-    random stream is drawn only as far as some search has needed it.
-    """
-    n_c = memo.n * (memo.n - 1) // 2
+    if (result := _outcome(cache.runs.get(search, []), config, cache.n, 0)) is not None:
+        return result
+    n_c = cache.n * (cache.n - 1) // 2
     n_p = config.resolved_n_p(n_c)
     e = config.elite_count(n_p)
     rng = np.random.default_rng(config.seed)
     bits = rng.integers(0, 2, size=(n_p, n_c), dtype=np.uint8)
-    best_score = np.inf
-    best_bits = bits[0]
+    records: list[_Record] = []
+    best_score, best_bits, evaluations = np.inf, bits[0], 0
     for gen in range(config.n_g):
         if gen:
-            order = np.argsort(scores, kind="stable")[:e]
-            elites = bits[order]
-            children = _breed(bits, scores, n_p - e, config, rng)
-            bits = np.concatenate([elites, children], axis=0)
-        scores, fresh = _evaluate(bits, memo)
+            elites = bits[np.argsort(scores, kind="stable")[:e]]
+            bits = np.concatenate([elites, _breed(bits, scores, n_p - e, config, rng)], axis=0)
+        scores, fresh = _evaluate(bits, cache)
+        evaluations += fresh
         leader = int(np.argmin(scores))
         current = float(scores[leader])
         if current < best_score:
-            best_score = current
-            best_bits = bits[leader].copy()
-        yield _Record(current, best_score, best_bits, fresh)
+            best_score, best_bits = current, bits[leader].copy()
+        records.append(_Record(current, best_score, best_bits))
+        if _halt(records[-1], config.threshold) is not None:
+            break
+    cache.runs[search] = records
+    return _outcome(records, config, cache.n, evaluations)
 
 
-def _result(record: _Record, n: int, generations: int, reason: HaltReason, evaluations: int) -> RunResult:
-    return RunResult(
-        best_chromosome=CouplingString(record.best_bits, n),
-        best_score=record.best_score,
-        generations_used=generations,
-        halted_by=reason,
-        evaluations=evaluations,
-    )
+def _halt(record: _Record, threshold: float | None) -> HaltReason | None:
+    """Why the search halts at this generation, the threshold tested first; None if it goes on."""
+    if threshold is not None and record.current < threshold:
+        return HaltReason.THRESHOLD
+    if record.current < ZERO_TOL:
+        return HaltReason.ZERO_FITNESS
+    return None
+
+
+def _outcome(records: list[_Record], config: GAConfig, n: int, evaluations: int) -> RunResult | None:
+    """The result at the first generation ``_halt`` stops, else MaxGenerations at n_g records; else None."""
+    for gen, record in enumerate(records):
+        reason = _halt(record, config.threshold)
+        if reason is not None:
+            break
+    else:
+        if len(records) < config.n_g:
+            return None
+        gen, reason = config.n_g, HaltReason.MAX_GENERATIONS
+    return RunResult(CouplingString(record.best_bits, n), record.best_score, gen, reason, evaluations)

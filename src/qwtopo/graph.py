@@ -168,7 +168,10 @@ def build_topology(spec: TopologySpec, n: int) -> CouplingString:
 
 
 def to_hamiltonian(coupling: CouplingString) -> np.ndarray:
-    """Symmetric n x n float adjacency Hamiltonian with zero diagonal."""
+    """Symmetric n x n float adjacency Hamiltonian with zero diagonal.
+
+    The reference the tests hold the batch path to; no package code calls it.
+    """
     return hamiltonian_stack(coupling.bits[None, :], coupling.n)[0].astype(float)
 
 

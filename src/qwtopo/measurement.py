@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ctqw import ConcatenatedDistribution, ProbeState, TimeGrid, concatenated_distribution
-from .errors import ConfigError, whole_count
+from .errors import ConfigError, seed_value, whole_count
 from .ga import GAConfig, HaltReason, RunResult, SearchMemo, run_ga
 from .graph import CouplingString
 from .seeding import derive_seed
@@ -53,7 +53,7 @@ class NoiseConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_r", whole_count(self.n_r, "resource count"))
-        object.__setattr__(self, "seed", whole_count(self.seed, "seed"))
+        object.__setattr__(self, "seed", seed_value(self.seed))
         if self.n_r < 1:
             raise ConfigError(f"resource count must be >= 1, got {self.n_r}")
         thresholds = tuple(float(t) for t in self.thresholds or default_thresholds())
@@ -123,9 +123,10 @@ def monte_carlo_sweep(
     deterministically from (noise.seed, mc index, inner index), so a
     given inner run differs across thresholds only in when it halts.
     All searches against one target share one memo, so a genome is
-    propagated at most once per target, and each inner run's trajectory
-    is bred once and replayed for every threshold.  The sweep sets every search's
-    seed and threshold: the seed of ``ga`` is unused, a threshold rejected.
+    propagated at most once per target.  Thresholds go from the lowest,
+    so an inner run's first search breeds its longest trajectory and the
+    later thresholds read their outcomes off it.  The sweep sets every
+    search's seed and threshold: the seed of ``ga`` is unused, a threshold rejected.
     """
     if ga.threshold is not None:
         raise ConfigError("a sweep sets the halt thresholds itself; drop the GA threshold")

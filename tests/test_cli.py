@@ -310,6 +310,26 @@ def test_sweep_help_lists_no_ga_threshold(capsys) -> None:
     assert re.search(r"--threshold\b", out) is None
 
 
+@pytest.mark.parametrize(
+    "argv, section",
+    [
+        (["simulate", "--topology", "star", "--n", "4", "--nr", "5"], "noise"),
+        (["reconstruct", "--topology", "star", "--n", "4", "--ng", "2"], "ga"),
+        (["benchmark", "--topology", "star", "--n", "4", "--runs", "1", "--ng", "2"], "ga"),
+        (["sweep", "--topology", "star", "--n", "4", "--mc-runs", "1", "--inner-runs", "1", "--ng", "2"], "noise"),
+    ],
+    ids=["simulate", "reconstruct", "benchmark", "sweep"],
+)
+def test_a_negative_seed_exits_one_naming_it(capsys, tmp_path: Path, argv, section: str) -> None:
+    code, _, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert (code, err.strip()) == (1, "error: seed must be >= 0, got -1")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {"seed": -2}}))
+    code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, err.strip()) == (1, "error: seed must be >= 0, got -2")
+    assert run_cli(capsys, *argv, "--seed", "0")[0] == 0
+
+
 def test_sweep_seed_is_the_noise_seed(capsys, tmp_path: Path) -> None:
     out_file = tmp_path / "sweep.json"
     argv = [

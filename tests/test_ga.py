@@ -57,6 +57,13 @@ def test_ga_config_seed_must_be_whole(seed) -> None:
         GAConfig(seed=seed)
 
 
+def test_ga_config_seed_must_not_be_negative() -> None:
+    # NumPy refuses a negative seed only when the search starts, without naming it.
+    with pytest.raises(ConfigError, match=r"seed must be >= 0, got -1"):
+        GAConfig(seed=-1)
+    assert GAConfig(seed=np.int64(0)).seed == 0
+
+
 def test_ga_config_rejects_a_nan_threshold_but_not_inf() -> None:
     with pytest.raises(ConfigError):
         GAConfig(threshold=math.nan)
@@ -328,17 +335,22 @@ def test_threshold_searches_replay_one_trajectory(monkeypatch, order: str) -> No
     assert {HaltReason.THRESHOLD, HaltReason.MAX_GENERATIONS} <= halts
     assert len({r.generations_used for r in alone.values()}) > 4
 
-    calls = []
-    real_evaluate = ga._evaluate
+    calls, rows = [], []
+    real_evaluate, real_propagate = ga._evaluate, ga.batch_site_distributions
     monkeypatch.setattr(ga, "_evaluate", lambda *a: calls.append(1) or real_evaluate(*a))
+    monkeypatch.setattr(ga, "batch_site_distributions", lambda b, *a: rows.append(len(b)) or real_propagate(b, *a))
     memo = SearchMemo(target, psi0, grid, config.metric)
     shared = {t: run_ga(target, psi0, grid, replace(config, threshold=t), cache=memo) for t in thresholds}
     for t in thresholds:
         assert outcome(shared[t]) == outcome(alone[t])
-    assert sum(r.evaluations for r in shared.values()) == len(memo.scores)
-    # One record list, each generation bred and scored once across all thresholds.
-    [(records, _)] = memo.runs.values()
-    assert len(calls) == len(records) == config.n_g
+    # Each genome is propagated once, whatever order the thresholds come in.
+    assert sum(r.evaluations for r in shared.values()) == sum(rows) == len(memo.scores)
+    # One record list.  Ascending thresholds, the sweep's order, breed and
+    # score each generation once; another order re-breeds recorded prefixes.
+    [records] = memo.runs.values()
+    assert len(records) == config.n_g
+    if order == "ascending":
+        assert len(calls) == config.n_g
 
 
 def test_searches_that_differ_beyond_the_threshold_keep_their_own_records() -> None:
@@ -352,7 +364,7 @@ def test_searches_that_differ_beyond_the_threshold_keep_their_own_records() -> N
     with pytest.raises(ConfigError):
         run_ga(target, psi0, grid, replace(base, metric=Metric.KOLMOGOROV), cache=memo)
     run_ga(target, psi0, grid, replace(base, threshold=1e-3), cache=memo)
-    record_lists = [records for records, _ in memo.runs.values()]
+    record_lists = list(memo.runs.values())
     assert len(record_lists) == len({id(records) for records in record_lists}) == 4
 
 
@@ -368,10 +380,10 @@ def test_a_memo_serves_only_its_own_objective(other: str) -> None:
         "grid": TimeGrid((0.5, 0.7)),
         "config": replace(objective["config"], metric=Metric.KOLMOGOROV),
     }
-    filled = (dict(memo.scores), {key: len(records) for key, (records, _) in memo.runs.items()})
+    filled = (dict(memo.scores), {key: len(records) for key, records in memo.runs.items()})
     with pytest.raises(ConfigError, match="another target, probe, times or metric"):
         run_ga(**{**objective, other: another[other]}, cache=memo)
-    assert filled == (memo.scores, {key: len(records) for key, (records, _) in memo.runs.items()})
+    assert filled == (memo.scores, {key: len(records) for key, records in memo.runs.items()})
 
 
 def test_a_memo_serves_its_objective_rebuilt_with_equal_values() -> None:
@@ -386,8 +398,8 @@ def test_a_memo_serves_its_objective_rebuilt_with_equal_values() -> None:
 
 
 def test_a_dropped_memo_is_freed_at_once() -> None:
-    # The memo stores each search's suspended generator; if that held the memo
-    # strongly, dead memos would wait for a full collection with their records.
+    # The memo holds its scores and records and nothing refers back to it, so
+    # a memo no caller keeps is freed without waiting for a full collection.
     target, psi0, grid = noisy_star5()
     memo = SearchMemo(target, psi0, grid, Metric.KLD)
     run_ga(target, psi0, grid, GAConfig(seed=3, n_g=20), cache=memo)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qwtopo.ctqw import ConcatenatedDistribution, ProbeState, TimeGrid, concatenated_distribution
+import qwtopo.ga as ga_module
 from qwtopo import measurement
 from qwtopo.errors import ConfigError
 from qwtopo.ga import GAConfig, HaltReason, RunResult, run_ga
@@ -69,6 +70,12 @@ def test_noise_config_seed_and_shots_must_be_whole(kwargs) -> None:
     cfg = NoiseConfig(n_r=np.int64(50), seed=np.uint16(3))
     assert (cfg.n_r, cfg.seed) == (50, 3)
     assert (type(cfg.n_r), type(cfg.seed)) == (int, int)
+
+
+def test_noise_config_seed_must_not_be_negative() -> None:
+    with pytest.raises(ConfigError, match=r"seed must be >= 0, got -3"):
+        NoiseConfig(seed=np.int8(-3))
+    assert NoiseConfig(seed=0).seed == 0
 
 
 def test_noise_config_rejects_nan_thresholds_but_not_inf() -> None:
@@ -278,6 +285,23 @@ def test_monte_carlo_sweep_matches_independent_runs() -> None:
                 expected[threshold][classify_outcome(run_ga(target, psi0, grid, cfg), truth)] += 1
     assert monte_carlo_sweep(truth, psi0, grid, ga, noise) == expected
     assert len({tuple(sorted(tally.items(), key=str)) for tally in expected.values()}) > 1
+
+
+def test_monte_carlo_sweep_breeds_each_search_once(monkeypatch) -> None:
+    # Thresholds are walked from the lowest, so each (sample, inner run)
+    # search's first call breeds its longest trajectory and every later
+    # threshold's outcome is read off the recorded generations.
+    memos, calls = [], []
+    real_memo, real_evaluate = measurement.SearchMemo, ga_module._evaluate
+    monkeypatch.setattr(measurement, "SearchMemo", lambda *a: memos.append(real_memo(*a)) or memos[-1])
+    monkeypatch.setattr(ga_module, "_evaluate", lambda *a: calls.append(1) or real_evaluate(*a))
+    truth, psi0, grid = sweep_args(5)
+    noise = NoiseConfig(n_r=500, thresholds=(2e-3, 1e-2, 5e-2), mc_runs=2, inner_runs=3, seed=4)
+    tallies = monte_carlo_sweep(truth, psi0, grid, GAConfig(n_p=40, n_g=12), noise)
+    assert len(memos) == noise.mc_runs
+    assert sum(len(memo.runs) for memo in memos) == noise.mc_runs * noise.inner_runs
+    assert len(calls) == sum(len(records) for memo in memos for records in memo.runs.values())
+    assert len({tuple(sorted(tally.items(), key=str)) for tally in tallies.values()}) > 1
 
 
 # SHA-256 of the per-search record below; a sweep report holds only
