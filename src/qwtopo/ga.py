@@ -31,6 +31,9 @@ __all__ = [
 
 # Scores below this count as exactly zero for the noiseless halt test.
 ZERO_TOL = 1e-15
+# Genome length up to which a memo scores into a table of every genome
+# (n <= 6, 2**15 entries); longer genomes go into a dict.
+TABLE_GENES = 15
 
 
 class HaltReason(enum.Enum):
@@ -87,11 +90,15 @@ class GAConfig:
         """round(p_e * n_p), bumped so the child count n_p - e is even.
 
         Children are produced in pairs, so the slots left after cloning
-        the hall of fame must come in twos.
+        the hall of fame must come in twos.  The bump goes up unless
+        that would leave no child, then down.  Raises ConfigError when
+        the rounding alone leaves no child to breed.
         """
         e = round(self.p_e * n_p)
         if (n_p - e) % 2:
-            e = e + 1 if e + 1 <= n_p else e - 1
+            e = e + 1 if n_p - e > 1 else e - 1
+        if n_p - e < 2:
+            raise ConfigError(f"elitist fraction p_e={self.p_e} clones all n_p={n_p} genomes, leaving no child to breed")
         return e
 
 
@@ -144,14 +151,26 @@ def _breed(
 def _evaluate(bits: np.ndarray, memo: SearchMemo) -> tuple[np.ndarray, int]:
     """Score every row against the memo's objective; returns (scores, new evals).
 
-    Each row's bytes are its memo key, taken for the whole population
-    in one view.  The distinct genomes missing from the memo are scored
-    in one batch, in order of first appearance.
+    Scores are never negative, so -1.0 marks a row the memo misses.  The
+    distinct missed genomes are scored in one batch, in order of first
+    appearance.  A table memo keys each row by its genome code, a dict
+    memo by its bytes, taken for the whole population in one view.
     """
     n_c = bits.shape[1]
-    cache = memo.scores
+    if isinstance(memo.store, np.ndarray):
+        codes = bits @ (1 << np.arange(n_c))
+        scores = memo.store[codes]
+        missed = np.flatnonzero(scores < 0)
+        if not missed.size:
+            return scores, 0
+        missed_codes = codes[missed]
+        _, first = np.unique(missed_codes, return_index=True)
+        first.sort()
+        memo.store[missed_codes[first]] = _divergences(bits[missed[first]], memo)
+        scores[missed] = memo.store[missed_codes]
+        return scores, len(first)
+    cache = memo.store
     keys = np.ascontiguousarray(bits, dtype=np.uint8).view(f"V{n_c}").ravel().tolist()
-    # Scores are never negative, so -1.0 marks a row the memo misses.
     scores = np.array([cache.get(key, -1.0) for key in keys])
     missed = np.flatnonzero(scores < 0)
     if not missed.size:
@@ -159,15 +178,18 @@ def _evaluate(bits: np.ndarray, memo: SearchMemo) -> tuple[np.ndarray, int]:
     missed_keys = [keys[i] for i in missed.tolist()]
     new_keys = list(dict.fromkeys(missed_keys))
     fresh = np.frombuffer(b"".join(new_keys), dtype=np.uint8).reshape(len(new_keys), n_c)
-    models = batch_site_distributions(fresh, memo.n, memo.psi0.amplitudes, memo.grid.times)
-    flat = models.reshape(len(new_keys), -1)
-    if memo.metric is Metric.KLD:
-        values = batch_kld(flat, memo.target_flat)
-    else:
-        values = batch_kolmogorov(flat, memo.target_flat)
-    cache.update(zip(new_keys, values.tolist()))
+    cache.update(zip(new_keys, _divergences(fresh, memo).tolist()))
     scores[missed] = [cache[key] for key in missed_keys]
     return scores, len(new_keys)
+
+
+def _divergences(fresh: np.ndarray, memo: SearchMemo) -> np.ndarray:
+    """Propagate the rows in one batch and score them against the memo's target."""
+    models = batch_site_distributions(fresh, memo.n, memo.psi0.amplitudes, memo.grid.times)
+    flat = models.reshape(len(fresh), -1)
+    if memo.metric is Metric.KLD:
+        return batch_kld(flat, memo.target_flat)
+    return batch_kolmogorov(flat, memo.target_flat)
 
 
 class _Record(NamedTuple):
@@ -182,9 +204,14 @@ class SearchMemo:
     """The memo of searches against one target, probe, times and metric.
 
     It checks the shapes once, here, and ``run_ga`` raises ConfigError
-    for a run against another objective.  ``scores`` maps genome bytes
-    to score.  ``runs`` maps a config with its threshold dropped to the
-    longest trajectory recorded for it, one record per generation.
+    for a run against another objective.  ``store`` holds the scores,
+    filled as genomes are first met.  Up to TABLE_GENES genes (n <= 6) it
+    is a float64 table of 2**n_c entries, 8 KB at n=5 and 256 KB at n=6,
+    indexed by the genome code sum(bit_j * 2**j) and holding -1.0 for a
+    genome not scored yet; for longer genomes it is a dict from genome
+    bytes to score.  ``scored`` counts the genomes it holds.  ``runs``
+    maps a config with its threshold dropped to the longest trajectory
+    recorded for it, one record per generation.
     """
 
     def __init__(self, target: ConcatenatedDistribution, psi0: ProbeState, grid: TimeGrid, metric: Metric) -> None:
@@ -197,8 +224,16 @@ class SearchMemo:
             raise ConfigError(f"need at least 2 nodes to search, got n={n}")
         self.n, self.psi0, self.grid, self.metric = n, psi0, grid, metric
         self.target_flat = target.flat
-        self.scores: dict[bytes, float] = {}
+        n_c = n * (n - 1) // 2
+        self.store: np.ndarray | dict[bytes, float] = np.full(1 << n_c, -1.0) if n_c <= TABLE_GENES else {}
         self.runs: dict[GAConfig, list[_Record]] = {}
+
+    @property
+    def scored(self) -> int:
+        """How many distinct genomes the memo holds a score for."""
+        if isinstance(self.store, dict):
+            return len(self.store)
+        return int(np.count_nonzero(self.store >= 0))
 
     def serves(self, target: ConcatenatedDistribution, psi0: ProbeState, grid: TimeGrid, metric: Metric) -> bool:
         """Whether the objective is this memo's, comparing the target and probe by value."""

@@ -549,3 +549,10 @@ def test_cli_import_loads_no_scipy() -> None:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_an_elitist_fraction_that_leaves_no_child_exits_one(capsys) -> None:
+    argv = ["reconstruct", "--topology", "star", "--n", "5", "--np", "10", "--pe", "0.96", "--seed", "3"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "p_e=0.96" in err and "n_p=10" in err

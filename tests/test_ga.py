@@ -87,6 +87,19 @@ def test_elite_count_parity() -> None:
     assert GAConfig(p_e=0.0).elite_count(6) == 0
 
 
+@pytest.mark.parametrize("p_e, n_p", [(0.94, 10), (0.5, 2), (0.5, 3)])
+def test_elite_count_bumps_down_rather_than_leave_no_child(p_e: float, n_p: int) -> None:
+    # round(p_e * n_p) leaves one child; bumping up would leave none.
+    assert n_p - round(p_e * n_p) == 1
+    assert GAConfig(p_e=p_e).elite_count(n_p) == n_p - 2
+
+
+@pytest.mark.parametrize("p_e, n_p", [(0.96, 10), (0.9, 2), (0.998, 200)])
+def test_elite_count_refuses_a_fraction_that_leaves_no_child(p_e: float, n_p: int) -> None:
+    with pytest.raises(ConfigError, match=f"p_e={p_e} .* n_p={n_p} "):
+        GAConfig(p_e=p_e).elite_count(n_p)
+
+
 def breed(bits, scores, n_children: int, seed: int, **cfg) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8)
     rng = np.random.default_rng(seed)
@@ -307,7 +320,7 @@ def test_run_ga_shared_memo_changes_only_the_evaluation_count() -> None:
     assert shared[0].evaluations == alone[0].evaluations
     assert shared[1].evaluations < alone[1].evaluations
     assert shared[2].evaluations == 0
-    assert len(cache.scores) == shared[0].evaluations + shared[1].evaluations
+    assert cache.scored == shared[0].evaluations + shared[1].evaluations
 
 
 def noisy_star5():
@@ -344,7 +357,7 @@ def test_threshold_searches_replay_one_trajectory(monkeypatch, order: str) -> No
     for t in thresholds:
         assert outcome(shared[t]) == outcome(alone[t])
     # Each genome is propagated once, whatever order the thresholds come in.
-    assert sum(r.evaluations for r in shared.values()) == sum(rows) == len(memo.scores)
+    assert sum(r.evaluations for r in shared.values()) == sum(rows) == memo.scored
     # One record list.  Ascending thresholds, the sweep's order, breed and
     # score each generation once; another order re-breeds recorded prefixes.
     [records] = memo.runs.values()
@@ -380,10 +393,11 @@ def test_a_memo_serves_only_its_own_objective(other: str) -> None:
         "grid": TimeGrid((0.5, 0.7)),
         "config": replace(objective["config"], metric=Metric.KOLMOGOROV),
     }
-    filled = (dict(memo.scores), {key: len(records) for key, records in memo.runs.items()})
+    store, lengths = memo.store.copy(), {key: len(records) for key, records in memo.runs.items()}
     with pytest.raises(ConfigError, match="another target, probe, times or metric"):
         run_ga(**{**objective, other: another[other]}, cache=memo)
-    assert filled == (memo.scores, {key: len(records) for key, records in memo.runs.items()})
+    assert np.array_equal(memo.store, store)
+    assert lengths == {key: len(records) for key, records in memo.runs.items()}
 
 
 def test_a_memo_serves_its_objective_rebuilt_with_equal_values() -> None:
@@ -495,25 +509,46 @@ def record_propagation(monkeypatch) -> list[np.ndarray]:
     return calls
 
 
-def test_evaluate_propagates_each_distinct_genome_once(monkeypatch) -> None:
-    genomes = distinct_genomes(4, 10)
-    bits = genomes[[2, 0, 2, 3, 0, 0, 1, 3]]
+def test_memo_store_is_a_table_up_to_n6_and_a_dict_above() -> None:
+    table = star_memo(6).store
+    assert isinstance(table, np.ndarray) and table.shape == (1 << 15,) and np.all(table == -1.0)
+    assert star_memo(7).store == {}
+    assert star_memo(6).scored == star_memo(7).scored == 0
+
+
+# n=2 and n=4 have genomes shorter than a byte (n_c = 1 and 6); n=6 and
+# n=7 sit either side of the edge between the table and the dict store;
+# n=5 is the noise sweep's size.
+STORE_SIZES = [2, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("n", STORE_SIZES)
+def test_evaluate_propagates_each_distinct_genome_once(monkeypatch, n: int) -> None:
+    genomes = distinct_genomes(2, 1) if n == 2 else distinct_genomes(4, n * (n - 1) // 2)
+    order = [1, 0, 1, 1, 0] if n == 2 else [2, 0, 2, 3, 0, 0, 1, 3]
+    bits = genomes[order]
     calls = record_propagation(monkeypatch)
-    scores, fresh = _evaluate(bits, star_memo(5))
-    assert fresh == 4
+    memo = star_memo(n)
+    scores, fresh = _evaluate(bits, memo)
+    assert fresh == memo.scored == len(genomes)
     assert len(calls) == 1
     # in order of first appearance
-    assert np.array_equal(calls[0], genomes[[2, 0, 3, 1]])
-    for genome in range(4):
+    assert np.array_equal(calls[0], genomes[list(dict.fromkeys(order))])
+    for genome in range(len(genomes)):
         rows = np.flatnonzero(np.all(bits == genomes[genome], axis=1))
         assert len(set(scores[rows].tolist())) == 1
 
 
-def test_evaluate_serves_repeats_from_the_memo(monkeypatch) -> None:
-    bits = np.random.default_rng(8).integers(0, 2, size=(50, 10), dtype=np.uint8)
-    memo = star_memo(5)
+@pytest.mark.parametrize("n", STORE_SIZES)
+def test_evaluate_serves_repeats_from_the_memo(monkeypatch, n: int) -> None:
+    if n == 2:
+        bits = np.ones((5, 1), dtype=np.uint8)  # the one other genome stays new
+    else:
+        bits = np.random.default_rng(8).integers(0, 2, size=(50, n * (n - 1) // 2), dtype=np.uint8)
+        bits[10:20] = bits[:10]  # repeats inside the population
+    memo = star_memo(n)
     first, fresh = _evaluate(bits, memo)
-    assert fresh == len(np.unique(bits, axis=0)) == len(memo.scores)
+    assert fresh == len(np.unique(bits, axis=0)) == memo.scored
     calls = record_propagation(monkeypatch)
     again, fresh = _evaluate(bits[::-1], memo)
     assert fresh == 0 and calls == []
@@ -522,16 +557,16 @@ def test_evaluate_serves_repeats_from_the_memo(monkeypatch) -> None:
     new = 1 - bits[0]
     assert new.tobytes() not in {row.tobytes() for row in bits}
     scores, fresh = _evaluate(np.vstack([bits[:3], new, bits[3:6]]), memo)
-    assert fresh == 1
+    assert fresh == 1 and memo.scored == len(np.unique(bits, axis=0)) + 1
     assert len(calls) == 1 and np.array_equal(calls[0], new[None, :])
     assert np.array_equal(np.delete(scores, 3), first[:6])
 
 
+@pytest.mark.parametrize("n", STORE_SIZES)
 @pytest.mark.parametrize("metric, divergence", [(Metric.KLD, batch_kld), (Metric.KOLMOGOROV, batch_kolmogorov)])
-def test_evaluate_scores_equal_direct_divergence(metric, divergence) -> None:
-    n = 5
+def test_evaluate_scores_equal_direct_divergence(metric, divergence, n: int) -> None:
     _, psi0, grid, target = star_problem(n)
-    bits = np.random.default_rng(4).integers(0, 2, size=(60, 10), dtype=np.uint8)
+    bits = np.random.default_rng(4).integers(0, 2, size=(60, n * (n - 1) // 2), dtype=np.uint8)
     scores, _ = _evaluate(bits, star_memo(n, metric))
     models = batch_site_distributions(bits, n, psi0.amplitudes, grid.times)
     assert np.array_equal(scores, divergence(models.reshape(len(bits), -1), target.flat))
@@ -546,7 +581,7 @@ def test_evaluate_keys_every_gene_at_n12(monkeypatch) -> None:
     calls = record_propagation(monkeypatch)
     memo = star_memo(n)
     scores, fresh = _evaluate(bits, memo)
-    assert fresh == 2 and len(memo.scores) == 2
+    assert fresh == 2 and memo.scored == 2
     assert np.array_equal(calls[0], np.concatenate([star, other]))
     assert scores[0] == scores[2] == 0.0
     assert scores[1] == scores[3] > 0.0
