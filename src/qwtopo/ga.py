@@ -5,12 +5,15 @@ individuals are cloned unchanged (elitism), and the remaining slots are
 filled with children bred two at a time: tournament-select two parents,
 single-point crossover with probability p_c, then per-gene bit-flip
 mutation.  The search halts on a configured fitness threshold, on exact
-zero fitness, or after n_g generations.
+zero fitness, or after n_g generations.  Searches that differ only in
+seed and threshold can be bred in lockstep (``record_searches``), each
+with its own generator and memo; ``run_ga`` is the one-search case.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +30,7 @@ __all__ = [
     "RunResult",
     "SearchMemo",
     "run_ga",
+    "record_searches",
 ]
 
 # Scores below this count as exactly zero for the noiseless halt test.
@@ -116,80 +120,127 @@ def _breed(
     scores: np.ndarray,
     n_children: int,
     cfg: GAConfig,
-    rng: np.random.Generator,
+    *rngs: np.random.Generator,
 ) -> np.ndarray:
-    """Produce n_children new genomes from the scored population.
+    """Produce n_children new genomes per search from the scored populations.
 
-    All pairs are bred in one vectorized pass; the generator is consumed
-    in a fixed order (tournament draws, crossover gates, split points
-    for the crossing pairs, mutation flips), which keeps runs
-    reproducible for a given seed.  A crossing pair swaps the genes past
-    its split point in place: XOR-ing both parents with
+    ``bits`` and ``scores`` stack the populations of one search per
+    generator in equal blocks of rows, and the children come out stacked
+    the same way.  Each search consumes its own generator in a fixed
+    order (tournament draws, crossover gates, split points for the
+    crossing pairs, mutation flips), so its children do not depend on
+    the searches bred beside it and runs stay reproducible for a given
+    seed.  Tournaments, crossovers and flips then run for all searches
+    in one vectorized pass.  A crossing pair swaps the genes past its
+    split point in place: XOR-ing both parents with
     swap = (first ^ second) & tail exchanges their tails.
     """
-    n_p, n_c = bits.shape
+    n_runs, n_c = len(rngs), bits.shape[1]
+    n_p = len(bits) // n_runs
     n_pairs = n_children // 2
-    draws = rng.integers(0, n_p, size=(2 * n_pairs, cfg.k))
-    winners = draws[np.arange(2 * n_pairs), np.argmin(scores[draws], axis=1)]
-    parents = bits[winners].reshape(n_pairs, 2, n_c)
-    gates = rng.random(n_pairs) < cfg.p_c
-    n_cross = int(gates.sum())
-    if n_cross and n_c >= 2:
-        # A pair that does not cross keeps split n_c - 1: an empty tail.
-        splits = np.full(n_pairs, n_c - 1)
-        splits[gates] = rng.integers(0, n_c - 1, size=n_cross)
-        tail = np.arange(n_c) > splits[:, None]
+    draws = []
+    flips = np.empty((n_runs, 2 * n_pairs, n_c), dtype=bool)
+    # A pair that does not cross keeps split n_c - 1: an empty tail.
+    splits = np.full((n_runs, n_pairs), n_c - 1)
+    for i, rng in enumerate(rngs):
+        # A draw from [low, low + n_p) is low plus the draw from [0, n_p).
+        draws.append(rng.integers(i * n_p, (i + 1) * n_p, size=(2 * n_pairs, cfg.k)))
+        gates = rng.random(n_pairs) < cfg.p_c
+        n_cross = int(np.count_nonzero(gates))
+        if n_cross and n_c >= 2:
+            splits[i, gates] = rng.integers(0, n_c - 1, size=n_cross)
+        np.less(rng.random((2 * n_pairs, n_c)), cfg.p_m, out=flips[i])
+    # One search's draws are used as they come, not copied.
+    draws = np.concatenate(draws) if n_runs > 1 else draws[0]
+    winners = draws[np.arange(len(draws)), np.argmin(scores[draws], axis=1)]
+    parents = bits[winners].reshape(-1, 2, n_c)
+    if (splits < n_c - 1).any():
+        tail = np.arange(n_c) > splits.reshape(-1, 1)
         first, second = parents[:, 0], parents[:, 1]
         swap = (first ^ second) & tail
         first ^= swap
         second ^= swap
-    children = parents.reshape(2 * n_pairs, n_c)
-    children ^= rng.random(size=children.shape) < cfg.p_m
+    children = parents.reshape(-1, n_c)
+    children ^= flips.reshape(-1, n_c)
     return children
 
 
-def _evaluate(bits: np.ndarray, memo: SearchMemo) -> tuple[np.ndarray, int]:
-    """Score every row against the memo's objective; returns (scores, new evals).
+def _evaluate(bits: np.ndarray, *memos: SearchMemo) -> tuple[np.ndarray, int]:
+    """Score every row against its memo's objective; returns (scores, new evals).
 
-    Scores are never negative, so -1.0 marks a row the memo misses.  The
-    distinct missed genomes are scored in one batch, in order of first
-    appearance.  A table memo keys each row by its genome code, a dict
-    memo by its bytes, taken for the whole population in one view.
+    ``bits`` stacks one equal block of rows per memo, and the memos are
+    for one n, probe and times.  Scores are never negative, so -1.0 marks
+    a row its memo misses.  The distinct missed genomes of every memo,
+    memo by memo and each in order of first appearance, are scored
+    together (see ``_divergences``).  A table memo keys each row by its
+    genome code, a dict memo by its bytes, taken for all rows in one view.
     """
     n_c = bits.shape[1]
-    if isinstance(memo.store, np.ndarray):
+    block = len(bits) // len(memos)
+    spans = [(memo, i * block, (i + 1) * block) for i, memo in enumerate(memos)]
+    if isinstance(memos[0].store, np.ndarray):
         codes = bits @ (1 << np.arange(n_c))
-        scores = memo.store[codes]
+        scores = np.concatenate([memo.store[codes[a:b]] for memo, a, b in spans])
         missed = np.flatnonzero(scores < 0)
         if not missed.size:
             return scores, 0
-        missed_codes = codes[missed]
-        _, first = np.unique(missed_codes, return_index=True)
-        first.sort()
-        memo.store[missed_codes[first]] = _divergences(bits[missed[first]], memo)
-        scores[missed] = memo.store[missed_codes]
-        return scores, len(first)
-    cache = memo.store
+        # One key per (memo, genome): the memo's index above the code's n_c bits.
+        keys = codes[missed] + (missed // block << n_c)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first, kind="stable")
+        new = missed[first[order]]
+        cuts = _cuts(new, block, len(memos))
+        fresh = _divergences(bits[new], memos, cuts, block)
+        for memo, lo, hi in zip(memos, cuts, cuts[1:]):
+            memo.store[codes[new[lo:hi]]] = fresh[lo:hi]
+        by_key = np.empty(len(new))
+        by_key[order] = fresh
+        scores[missed] = by_key[inverse]
+        return scores, len(new)
     keys = np.ascontiguousarray(bits, dtype=np.uint8).view(f"V{n_c}").ravel().tolist()
-    scores = np.array([cache.get(key, -1.0) for key in keys])
+    looked_up = (map(memo.store.get, keys[a:b], repeat(-1.0)) for memo, a, b in spans)
+    scores = np.fromiter(chain.from_iterable(looked_up), dtype=float, count=len(keys))
     missed = np.flatnonzero(scores < 0)
     if not missed.size:
         return scores, 0
-    missed_keys = [keys[i] for i in missed.tolist()]
-    new_keys = list(dict.fromkeys(missed_keys))
-    fresh = np.frombuffer(b"".join(new_keys), dtype=np.uint8).reshape(len(new_keys), n_c)
-    cache.update(zip(new_keys, _divergences(fresh, memo).tolist()))
-    scores[missed] = [cache[key] for key in missed_keys]
-    return scores, len(new_keys)
+    bounds = _cuts(missed, block, len(memos))
+    missed_keys = [[keys[i] for i in missed[lo:hi].tolist()] for lo, hi in zip(bounds, bounds[1:])]
+    new_keys = [list(dict.fromkeys(part)) for part in missed_keys]
+    cuts = list(accumulate(map(len, new_keys), initial=0))
+    rows = np.frombuffer(b"".join(chain.from_iterable(new_keys)), dtype=np.uint8).reshape(cuts[-1], n_c)
+    fresh = _divergences(rows, memos, cuts, block).tolist()
+    for memo, new, lo, hi in zip(memos, new_keys, cuts, cuts[1:]):
+        memo.store.update(zip(new, fresh[lo:hi]))
+    filled = (map(memo.store.__getitem__, part) for memo, part in zip(memos, missed_keys))
+    scores[missed] = np.fromiter(chain.from_iterable(filled), dtype=float, count=missed.size)
+    return scores, len(rows)
 
 
-def _divergences(fresh: np.ndarray, memo: SearchMemo) -> np.ndarray:
-    """Propagate the rows in one batch and score them against the memo's target."""
-    models = batch_site_distributions(fresh, memo.n, memo.psi0.amplitudes, memo.grid.times)
-    flat = models.reshape(len(fresh), -1)
-    if memo.metric is Metric.KLD:
-        return batch_kld(flat, memo.target_flat)
-    return batch_kolmogorov(flat, memo.target_flat)
+def _cuts(rows: np.ndarray, block: int, n_blocks: int) -> list[int]:
+    """Offsets that split ascending row positions by the block of ``block`` rows each falls in."""
+    return list(accumulate(np.bincount(rows // block, minlength=n_blocks).tolist(), initial=0))
+
+
+def _divergences(fresh: np.ndarray, memos: tuple[SearchMemo, ...], cuts: list[int], limit: int) -> np.ndarray:
+    """Propagate the rows and score them, memo i scoring rows cuts[i]:cuts[i + 1] against its target.
+
+    Each propagation call takes at most ``limit`` rows, one search's
+    population, so breeding searches together neither raises the
+    propagation's memory peak nor splits across threads a batch that one
+    search alone would not split.
+    """
+    memo = memos[0]
+    pieces = [
+        batch_site_distributions(fresh[i : i + limit], memo.n, memo.psi0.amplitudes, memo.grid.times)
+        for i in range(0, len(fresh), limit)
+    ]
+    flat = (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)).reshape(len(fresh), -1)
+    scores = np.empty(len(fresh))
+    for memo, lo, hi in zip(memos, cuts, cuts[1:]):
+        if lo < hi:
+            divergence = batch_kld if memo.metric is Metric.KLD else batch_kolmogorov
+            scores[lo:hi] = divergence(flat[lo:hi], memo.target_flat)
+    return scores
 
 
 class _Record(NamedTuple):
@@ -211,7 +262,9 @@ class SearchMemo:
     genome not scored yet; for longer genomes it is a dict from genome
     bytes to score.  ``scored`` counts the genomes it holds.  ``runs``
     maps a config with its threshold dropped to the longest trajectory
-    recorded for it, one record per generation.
+    recorded for it, one record per generation, and ``unreported`` to
+    the genomes its breeding newly scored that no result has reported
+    yet.
     """
 
     def __init__(self, target: ConcatenatedDistribution, psi0: ProbeState, grid: TimeGrid, metric: Metric) -> None:
@@ -227,6 +280,7 @@ class SearchMemo:
         n_c = n * (n - 1) // 2
         self.store: np.ndarray | dict[bytes, float] = np.full(1 << n_c, -1.0) if n_c <= TABLE_GENES else {}
         self.runs: dict[GAConfig, list[_Record]] = {}
+        self.unreported: dict[GAConfig, int] = {}
 
     @property
     def scored(self) -> int:
@@ -266,37 +320,83 @@ def run_ga(
     random numbers, so searches that differ only in threshold follow one
     trajectory, which the memo records.  A search whose outcome the
     records decide is read off them; any other runs from generation 0
-    again, re-breeding the recorded prefix from memoised scores.
+    again, re-breeding the recorded prefix from memoised scores.  The
+    first result read off a trajectory reports the genomes its breeding
+    scored, and later ones report 0.
     """
     if cache is None:
         cache = SearchMemo(target, psi0, grid, config.metric)
     elif not cache.serves(target, psi0, grid, config.metric):
         raise ConfigError("the memo was made for another target, probe, times or metric")
     search = replace(config, threshold=None)
-    if (result := _outcome(cache.runs.get(search, []), config, cache.n, 0)) is not None:
-        return result
-    n_c = cache.n * (cache.n - 1) // 2
+    if (outcome := _outcome(cache.runs.get(search, []), config)) is None:
+        record_searches([cache], [config])
+        outcome = _outcome(cache.runs[search], config)
+    gen, reason, record = outcome
+    evaluations = cache.unreported.pop(search, 0)
+    return RunResult(CouplingString(record.best_bits, cache.n), record.best_score, gen, reason, evaluations)
+
+
+def record_searches(memos: list[SearchMemo], configs: list[GAConfig]) -> None:
+    """Breed searches in lockstep, each against its own memo, and record each trajectory there.
+
+    The configs differ at most in seed and threshold, and the memos are
+    distinct and for one n, probe, times and metric.  Each search draws
+    from its own generator in the order a search bred alone draws, and
+    halts by its own threshold, so its records do not depend on the
+    searches bred beside it.  Each generation scores all live searches'
+    rows in one ``_evaluate`` call and breeds them in one ``_breed``
+    pass.  Memo i ends up mapping configs[i] without its threshold to the
+    records and to the count of genomes this breeding scored.
+    """
+    config, first = configs[0], memos[0]
+    if any(replace(c, seed=config.seed, threshold=config.threshold) != config for c in configs[1:]):
+        raise ConfigError("searches bred together may differ only in seed and threshold")
+    if len({id(memo) for memo in memos}) < len(memos) or not all(
+        memo.metric is config.metric
+        and memo.grid.times == first.grid.times
+        and np.array_equal(memo.psi0.amplitudes, first.psi0.amplitudes)
+        for memo in memos
+    ):
+        raise ConfigError("searches bred together need distinct memos for one probe, times and metric")
+    n_c = first.n * (first.n - 1) // 2
     n_p = config.resolved_n_p(n_c)
     e = config.elite_count(n_p)
-    rng = np.random.default_rng(config.seed)
-    bits = rng.integers(0, 2, size=(n_p, n_c), dtype=np.uint8)
-    records: list[_Record] = []
-    best_score, best_bits, evaluations = np.inf, bits[0], 0
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    scored = [memo.scored for memo in memos]
+    trajectories: list[list[_Record]] = [[] for _ in memos]
+    live = list(range(len(memos)))
+    bits = np.concatenate([rng.integers(0, 2, size=(n_p, n_c), dtype=np.uint8) for rng in rngs])
     for gen in range(config.n_g):
+        offsets = np.arange(0, len(bits), n_p)[:, None]
         if gen:
-            elites = bits[np.argsort(scores, kind="stable")[:e]]
-            bits = np.concatenate([elites, _breed(bits, scores, n_p - e, config, rng)], axis=0)
-        scores, fresh = _evaluate(bits, cache)
-        evaluations += fresh
-        leader = int(np.argmin(scores))
-        current = float(scores[leader])
-        if current < best_score:
-            best_score, best_bits = current, bits[leader].copy()
-        records.append(_Record(current, best_score, best_bits))
-        if _halt(records[-1], config.threshold) is not None:
-            break
-    cache.runs[search] = records
-    return _outcome(records, config, cache.n, evaluations)
+            ranked = np.argsort(scores.reshape(-1, n_p), axis=1, kind="stable")[:, :e] + offsets
+            children = _breed(bits, scores, n_p - e, config, *(rngs[i] for i in live))
+            elites = bits[ranked.ravel()].reshape(len(live), e, n_c)
+            bits = np.concatenate([elites, children.reshape(len(live), -1, n_c)], axis=1).reshape(-1, n_c)
+        scores, _ = _evaluate(bits, *(memos[i] for i in live))
+        leaders = np.argmin(scores.reshape(-1, n_p), axis=1) + offsets[:, 0]
+        currents, leading = scores[leaders].tolist(), bits[leaders]
+        going = []
+        for j, i in enumerate(live):
+            records, current = trajectories[i], currents[j]
+            if records and records[-1].best_score <= current:
+                record = _Record(current, records[-1].best_score, records[-1].best_bits)
+            else:
+                record = _Record(current, current, leading[j])
+            records.append(record)
+            if _halt(record, configs[i].threshold) is None:
+                going.append(j)
+        if len(going) < len(live):
+            if not going:
+                break
+            live = [live[j] for j in going]
+            bits = bits.reshape(-1, n_p, n_c)[going].reshape(-1, n_c)
+            scores = scores.reshape(-1, n_p)[going].ravel()
+    for memo, c, records, before in zip(memos, configs, trajectories, scored):
+        search = replace(c, threshold=None)
+        memo.runs[search] = records
+        memo.unreported[search] = memo.unreported.get(search, 0) + memo.scored - before
 
 
 def _halt(record: _Record, threshold: float | None) -> HaltReason | None:
@@ -308,14 +408,12 @@ def _halt(record: _Record, threshold: float | None) -> HaltReason | None:
     return None
 
 
-def _outcome(records: list[_Record], config: GAConfig, n: int, evaluations: int) -> RunResult | None:
-    """The result at the first generation ``_halt`` stops, else MaxGenerations at n_g records; else None."""
+def _outcome(records: list[_Record], config: GAConfig) -> tuple[int, HaltReason, _Record] | None:
+    """Where and why the records halt: the first generation ``_halt`` stops, else MaxGenerations at n_g records; else None."""
     for gen, record in enumerate(records):
         reason = _halt(record, config.threshold)
         if reason is not None:
-            break
-    else:
-        if len(records) < config.n_g:
-            return None
-        gen, reason = config.n_g, HaltReason.MAX_GENERATIONS
-    return RunResult(CouplingString(record.best_bits, n), record.best_score, gen, reason, evaluations)
+            return gen, reason, record
+    if len(records) < config.n_g:
+        return None
+    return config.n_g, HaltReason.MAX_GENERATIONS, records[-1]

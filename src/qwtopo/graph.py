@@ -76,7 +76,7 @@ class CouplingString:
             raise TopologyError(
                 f"expected {n_c} couplings for n={self.n}, got shape {bits.shape}"
             )
-        if bits.size and not np.isin(bits, (0, 1)).all():
+        if not ((bits == 0) | (bits == 1)).all():
             raise TopologyError("couplings must be 0 or 1")
         bits = bits.astype(np.uint8, copy=True)
         bits.setflags(write=False)

@@ -13,7 +13,7 @@ from qwtopo import ga
 from qwtopo.ctqw import ProbeState, TimeGrid, batch_site_distributions, concatenated_distribution
 from qwtopo.errors import ConfigError, ShapeError
 from qwtopo.fitness import Metric, batch_kld, batch_kolmogorov
-from qwtopo.ga import GAConfig, HaltReason, SearchMemo, _breed, _evaluate, run_ga
+from qwtopo.ga import GAConfig, HaltReason, SearchMemo, _breed, _evaluate, record_searches, run_ga
 from qwtopo.graph import TopologyKind, TopologySpec, build_topology
 from qwtopo.measurement import sample_noisy_distribution
 
@@ -364,6 +364,68 @@ def test_threshold_searches_replay_one_trajectory(monkeypatch, order: str) -> No
     assert len(records) == config.n_g
     if order == "ascending":
         assert len(calls) == config.n_g
+
+
+def noisy_searches(n: int, count: int, metric: Metric):
+    """Targets and fresh memos for ``count`` noisy star-n samples."""
+    _, psi0, grid, ideal = star_problem(n)
+    targets = [sample_noisy_distribution(ideal, 200, np.random.default_rng(s)) for s in range(count)]
+    return targets, [SearchMemo(target, psi0, grid, metric) for target in targets], psi0, grid
+
+
+def recorded(memo: SearchMemo):
+    """The one search a memo recorded, with its records and unreported count, and its scores."""
+    [(search, records)] = memo.runs.items()
+    trace = [(r.current, r.best_score, r.best_bits.tobytes()) for r in records]
+    store = memo.store.tolist() if isinstance(memo.store, np.ndarray) else memo.store
+    return search, trace, memo.unreported[search], store
+
+
+# (n, n_p, n_g): n=2 has one gene and draws no split point; n=2, 3 and 5
+# score into a table memo, n=7 into a dict.
+LOCKSTEP_SHAPES = [(2, 8, 10), (3, 8, 12), (5, 20, 15), (7, 12, 6)]
+
+
+@pytest.mark.parametrize("n, n_p, n_g", LOCKSTEP_SHAPES)
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("p_c", [0.0, 1.0])
+def test_searches_bred_together_match_searches_bred_alone(n, n_p, n_g, metric, p_c) -> None:
+    count = 4
+    configs = [GAConfig(n_p=n_p, n_g=n_g, p_c=p_c, metric=metric, seed=seed) for seed in range(count)]
+    # Search 1 halts at once, search 2 where its own run first beats its
+    # score at n_g // 2, and searches 0 and 3 run all n_g generations.
+    _, memos, _, _ = noisy_searches(n, count, metric)
+    record_searches([memos[2]], [configs[2]])
+    halfway = memos[2].runs[configs[2]][n_g // 2].current
+    configs[1] = replace(configs[1], threshold=1e9)
+    configs[2] = replace(configs[2], threshold=float(np.nextafter(halfway, np.inf)))
+
+    targets, together, psi0, grid = noisy_searches(n, count, metric)
+    record_searches(together, configs)
+    lengths = set()
+    for i, config in enumerate(configs):
+        alone = noisy_searches(n, count, metric)[1][i]
+        record_searches([alone], [config])
+        assert recorded(together[i]) == recorded(alone)
+        lengths.add(len(alone.runs[replace(config, threshold=None)]))
+        read_off = run_ga(targets[i], psi0, grid, config, cache=together[i])
+        fresh = run_ga(targets[i], psi0, grid, config)
+        assert outcome(read_off) + (read_off.evaluations,) == outcome(fresh) + (fresh.evaluations,)
+    assert 1 in lengths and n_g in lengths and len(lengths) > 1
+
+
+def test_searches_bred_together_need_matching_configs_and_distinct_memos() -> None:
+    _, memos, _, _ = noisy_searches(3, 2, Metric.KLD)
+    with pytest.raises(ConfigError, match="differ only in seed and threshold"):
+        record_searches(memos, [GAConfig(n_p=8, n_g=2), GAConfig(n_p=10, n_g=2)])
+    with pytest.raises(ConfigError, match="distinct memos"):
+        record_searches([memos[0], memos[0]], [GAConfig(n_p=8, n_g=2, seed=s) for s in range(2)])
+    with pytest.raises(ConfigError, match="distinct memos"):
+        record_searches(memos, [GAConfig(n_p=8, n_g=2, metric=Metric.KOLMOGOROV, seed=s) for s in range(2)])
+    _, [other], _, _ = noisy_searches(4, 1, Metric.KLD)
+    with pytest.raises(ConfigError, match="distinct memos"):
+        record_searches([memos[0], other], [GAConfig(n_p=8, n_g=2, seed=s) for s in range(2)])
+    assert memos[0].runs == memos[1].runs == other.runs == {}
 
 
 def test_searches_that_differ_beyond_the_threshold_keep_their_own_records() -> None:

@@ -66,6 +66,19 @@ def test_coupling_string_validates_binary() -> None:
         CouplingString(np.array([0, 2, 0]), 3)
 
 
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+def test_coupling_string_rejects_every_value_but_0_and_1(bad) -> None:
+    with pytest.raises(TopologyError, match="couplings must be 0 or 1"):
+        CouplingString(np.array([1.0, bad, 0.0]), 3)
+
+
+def test_coupling_string_accepts_bool_and_float_bits() -> None:
+    expected = CouplingString(np.array([1, 0, 1], dtype=np.uint8), 3)
+    assert CouplingString(np.array([True, False, True]), 3) == expected
+    assert CouplingString(np.array([1.0, 0.0, 1.0]), 3) == expected
+    assert CouplingString(np.array([True, False, True]), 3).bits.dtype == np.uint8
+
+
 def test_coupling_string_equality_and_hash() -> None:
     a = CouplingString(np.array([1, 0, 1]), 3)
     b = CouplingString(np.array([1, 0, 1]), 3)

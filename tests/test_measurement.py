@@ -289,19 +289,62 @@ def test_monte_carlo_sweep_matches_independent_runs() -> None:
 
 def test_monte_carlo_sweep_breeds_each_search_once(monkeypatch) -> None:
     # Thresholds are walked from the lowest, so each (sample, inner run)
-    # search's first call breeds its longest trajectory and every later
-    # threshold's outcome is read off the recorded generations.
-    memos, calls = [], []
+    # search is bred once, beside the other samples' searches of its inner
+    # index, and every threshold's outcome is read off the recorded
+    # generations.
+    memos, rows, propagated, results = [], [], [], []
     real_memo, real_evaluate = measurement.SearchMemo, ga_module._evaluate
+    real_propagate, real_run_ga = ga_module.batch_site_distributions, measurement.run_ga
     monkeypatch.setattr(measurement, "SearchMemo", lambda *a: memos.append(real_memo(*a)) or memos[-1])
-    monkeypatch.setattr(ga_module, "_evaluate", lambda *a: calls.append(1) or real_evaluate(*a))
+    monkeypatch.setattr(ga_module, "_evaluate", lambda bits, *m: rows.append(len(bits)) or real_evaluate(bits, *m))
+    monkeypatch.setattr(
+        ga_module, "batch_site_distributions", lambda b, *a: propagated.append(len(b)) or real_propagate(b, *a)
+    )
+    monkeypatch.setattr(measurement, "run_ga", lambda *a, **k: results.append(real_run_ga(*a, **k)) or results[-1])
     truth, psi0, grid = sweep_args(5)
     noise = NoiseConfig(n_r=500, thresholds=(2e-3, 1e-2, 5e-2), mc_runs=2, inner_runs=3, seed=4)
-    tallies = monte_carlo_sweep(truth, psi0, grid, GAConfig(n_p=40, n_g=12), noise)
+    ga = GAConfig(n_p=40, n_g=12)
+    tallies = monte_carlo_sweep(truth, psi0, grid, ga, noise)
     assert len(memos) == noise.mc_runs
     assert sum(len(memo.runs) for memo in memos) == noise.mc_runs * noise.inner_runs
-    assert len(calls) == sum(len(records) for memo in memos for records in memo.runs.values())
+    # Every recorded generation's population is scored once.
+    assert sum(rows) == ga.n_p * sum(len(records) for memo in memos for records in memo.runs.values())
+    # Every genome is propagated once, and reported by one result.
+    assert len(results) == noise.mc_runs * noise.inner_runs * len(noise.thresholds)
+    assert sum(r.evaluations for r in results) == sum(propagated) == sum(memo.scored for memo in memos)
     assert len({tuple(sorted(tally.items(), key=str)) for tally in tallies.values()}) > 1
+
+
+def test_monte_carlo_sweep_groups_leave_every_search_unchanged(monkeypatch) -> None:
+    # Samples are bred in lockstep groups of at most LOCKSTEP_ROWS rows;
+    # how they are grouped changes no search's result.
+    truth, psi0, grid = sweep_args(5)
+    noise = NoiseConfig(n_r=500, thresholds=(2e-3, 1e-2, 5e-2), mc_runs=5, inner_runs=2, seed=4)
+    ga = GAConfig(n_p=20, n_g=12)
+    real_run_ga, real_record = measurement.run_ga, measurement.record_searches
+
+    def sweep(rows: int):
+        monkeypatch.setattr(measurement, "LOCKSTEP_ROWS", rows)
+        results, groups = [], []
+        monkeypatch.setattr(measurement, "run_ga", lambda *a, **k: results.append(real_run_ga(*a, **k)) or results[-1])
+        monkeypatch.setattr(measurement, "record_searches", lambda m, c: groups.append(len(m)) or real_record(m, c))
+        tallies = monte_carlo_sweep(truth, psi0, grid, ga, noise)
+        return tallies, [outcome_and_count(r) for r in results], groups
+
+    default, split, alone = sweep(measurement.LOCKSTEP_ROWS), sweep(2 * ga.n_p), sweep(1)
+    assert default[2] == [5, 5] and split[2] == [2, 2, 2, 2, 1, 1] and alone[2] == [1] * 10
+    assert default[:2] == split[:2] == alone[:2]
+    assert sum(evaluations for *_, evaluations in default[1]) > 0
+
+
+def outcome_and_count(result: RunResult) -> tuple:
+    return (
+        result.best_chromosome.to_bitstring(),
+        repr(result.best_score),
+        result.generations_used,
+        result.halted_by,
+        result.evaluations,
+    )
 
 
 # SHA-256 of the per-search record below; a sweep report holds only
