@@ -13,10 +13,11 @@ polynomials (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)):
     exp(-iHt) psi = sum_k (2 - delta_k0) (-i)^k J_k(a t) T_k(H/a) psi,
 
 where a = n - 1 bounds the spectrum of any n-node adjacency matrix, so
-H/a has its eigenvalues in [-1, 1].  The vectors T_k(H/a) psi come from
-the three-term recurrence v_{k+1} = 2 (H/a) v_k - v_{k-1} and are
-shared by every evolution time; only the Bessel weights J_k(a t)
-differ.  The terms run until (x/2)^k / k! < 1e-18 with k > x for the
+H/a has its eigenvalues in [-1, 1]; the bound holds for 0/1 couplings
+only, and the batch path refuses any other.  The vectors T_k(H/a) psi
+come from the three-term recurrence v_{k+1} = 2 (H/a) v_k - v_{k-1}
+and are shared by every evolution time; only the Bessel weights
+J_k(a t) differ.  The terms run until (x/2)^k / k! < 1e-18 with k > x for the
 largest x = a t, which bounds every dropped J_k(x).  Each vector is
 folded into the amplitudes as soon as it is made, in a fixed k order,
 with per-row operations only, so a row's result depends on its genome
@@ -30,11 +31,18 @@ real and imaginary parts side by side.
 :func:`spectral_propagator` (one eigendecomposition) stays as the
 reference the tests hold the expansion to.
 
-A large batch is cut into contiguous chunks that the calling thread and
-a pool of worker threads, one fewer than the CPUs the process may use,
-propagate at the same time; numpy releases the GIL inside each array
-operation.  Rows never interact, so the result is bitwise the serial
-one.
+Up to n = 6 (TABLE_GENES = 15 genes) each network is propagated once
+per process: a table per (n, probe, times), indexed by genome code,
+keeps every row the expansion has made, and a batch sends only the
+distinct genomes the table misses through it.  Since a row's result
+does not depend on its batch, a row served from the table is bitwise
+the one the expansion would make now.
+
+A large batch of misses is cut into contiguous chunks that the calling
+thread and a pool of worker threads, one fewer than the CPUs the
+process may use, propagate at the same time; numpy releases the GIL
+inside each array operation.  Rows never interact, so the result is
+bitwise the serial one.
 """
 from __future__ import annotations
 
@@ -45,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
-from .graph import CouplingString, hamiltonian_stack
+from .errors import ShapeError, TopologyError
+from .graph import TABLE_GENES, CouplingString, check_couplings, genome_codes, hamiltonian_stack
 
 __all__ = [
     "ProbeState",
@@ -241,15 +249,56 @@ def concatenated_distribution(
 def batch_site_distributions(
     bits_matrix: np.ndarray, n: int, amplitudes: np.ndarray, times: tuple[float, ...]
 ) -> np.ndarray:
-    """Site distributions for m coupling strings at K times, as (m, K, n).
+    """Site distributions for m coupling strings at K times, as a fresh (m, K, n) array.
 
-    One Chebyshev recurrence per batch serves all strings and all
-    times; this is the hot path of the fitness evaluation.  The
-    adjacency stack is gathered here as bytes, on the calling thread; a
-    batch of at least 2 * _SPLIT_MIN_ROWS rows is then propagated in
-    chunks across the process's CPUs, the first chunk on the calling
-    thread, and each chunk scales its own matrices to a C-contiguous
-    float stack.
+    This is the hot path of the fitness evaluation.  The rows, which
+    must be 0/1 couplings of an n-node network, and the times are
+    checked first.  Up to TABLE_GENES genes (n <= 6) a row is served
+    from the process's table for (n, probe, times), and only distinct
+    genomes the table misses, in order of first appearance, go to
+    :func:`_kernel`; longer genomes all go there.
+    """
+    bits_matrix = np.asarray(bits_matrix)
+    n_c = n * (n - 1) // 2
+    if bits_matrix.ndim != 2 or bits_matrix.shape[1] != n_c:
+        raise TopologyError(f"expected {n_c} couplings for n={n}, got shape {bits_matrix.shape}")
+    check_couplings(bits_matrix)
+    bits_matrix = bits_matrix.astype(np.uint8, copy=False)
+    _chebyshev_weights(n, times)  # refuses bad times before any lookup
+    if n_c > TABLE_GENES:
+        return _kernel(bits_matrix, n, amplitudes, times)
+    table, filled = _distribution_table(n, np.asarray(amplitudes, dtype=np.complex128).tobytes(), times)
+    codes = genome_codes(bits_matrix)
+    missed = np.flatnonzero(~filled[codes])
+    if missed.size:
+        _, first = np.unique(codes[missed], return_index=True)
+        # Sorted as _evaluate sorts: np.sort would page in another sort
+        # kernel, ~0.25 MB of peak RSS.
+        new = missed[first[np.argsort(first, kind="stable")]]
+        table[codes[new]] = _kernel(bits_matrix[new], n, amplitudes, times)
+        filled[codes[new]] = True
+    return table[codes]
+
+
+@functools.lru_cache(maxsize=16)
+def _distribution_table(n: int, probe: bytes, times: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows for every n-node genome at the times, indexed by genome code, and which are filled.
+
+    The rows are allocated empty, so memory is taken only as they are
+    written: at most 80 KB at n = 5 and 3.1 MB at n = 6 for two times.
+    """
+    size = 1 << n * (n - 1) // 2
+    return np.empty((size, len(times), n)), np.zeros(size, dtype=bool)
+
+
+def _kernel(bits_matrix: np.ndarray, n: int, amplitudes: np.ndarray, times: tuple[float, ...]) -> np.ndarray:
+    """Propagate every row: the Chebyshev recurrence, split across CPUs for a large batch.
+
+    The adjacency stack is gathered here as bytes, on the calling
+    thread; a batch of at least 2 * _SPLIT_MIN_ROWS rows is then
+    propagated in chunks across the process's CPUs, the first chunk on
+    the calling thread, and each chunk scales its own matrices to a
+    C-contiguous float stack.
     """
     h = hamiltonian_stack(bits_matrix, n)
     n_chunks = len(h) // _SPLIT_MIN_ROWS

@@ -21,7 +21,7 @@ import numpy as np
 from .ctqw import ConcatenatedDistribution, ProbeState, TimeGrid, batch_site_distributions
 from .errors import ConfigError, ShapeError, seed_value, whole_count
 from .fitness import Metric, batch_kld, batch_kolmogorov
-from .graph import CouplingString
+from .graph import TABLE_GENES, CouplingString, genome_codes
 
 __all__ = [
     "ZERO_TOL",
@@ -35,9 +35,6 @@ __all__ = [
 
 # Scores below this count as exactly zero for the noiseless halt test.
 ZERO_TOL = 1e-15
-# Genome length up to which a memo scores into a table of every genome
-# (n <= 6, 2**15 entries); longer genomes go into a dict.
-TABLE_GENES = 15
 
 
 class HaltReason(enum.Enum):
@@ -179,7 +176,7 @@ def _evaluate(bits: np.ndarray, *memos: SearchMemo) -> tuple[np.ndarray, int]:
     block = len(bits) // len(memos)
     spans = [(memo, i * block, (i + 1) * block) for i, memo in enumerate(memos)]
     if isinstance(memos[0].store, np.ndarray):
-        codes = bits @ (1 << np.arange(n_c))
+        codes = genome_codes(bits)
         scores = np.concatenate([memo.store[codes[a:b]] for memo, a, b in spans])
         missed = np.flatnonzero(scores < 0)
         if not missed.size:

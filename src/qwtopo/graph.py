@@ -30,6 +30,22 @@ __all__ = [
 ]
 
 
+# Genome length up to which tables of every genome are kept, indexed by
+# genome code (n <= 6, 2**15 genomes).
+TABLE_GENES = 15
+
+
+def genome_codes(bits_matrix: np.ndarray) -> np.ndarray:
+    """Each row's genome code sum(bit_j * 2**j), its index in a table of every genome."""
+    return bits_matrix @ (1 << np.arange(bits_matrix.shape[1]))
+
+
+def check_couplings(bits: np.ndarray) -> None:
+    """Raise TopologyError unless every coupling is 0 or 1."""
+    if not ((bits == 0) | (bits == 1)).all():
+        raise TopologyError("couplings must be 0 or 1")
+
+
 def coupling_index(x: int, y: int, n: int) -> int:
     """Genome position of edge (x, y) for an n-node network.
 
@@ -76,8 +92,7 @@ class CouplingString:
             raise TopologyError(
                 f"expected {n_c} couplings for n={self.n}, got shape {bits.shape}"
             )
-        if not ((bits == 0) | (bits == 1)).all():
-            raise TopologyError("couplings must be 0 or 1")
+        check_couplings(bits)
         bits = bits.astype(np.uint8, copy=True)
         bits.setflags(write=False)
         self.bits = bits

@@ -131,7 +131,8 @@ def monte_carlo_sweep(
     deterministically from (noise.seed, mc index, inner index), so a
     given inner run differs across thresholds only in when it halts.
     All searches against one target share one memo, so a genome is
-    propagated at most once per target.  Consecutive samples are taken
+    scored at most once per target (and, up to n = 6, propagated at most
+    once per process, see ``ctqw.batch_site_distributions``).  Consecutive samples are taken
     in groups of at most LOCKSTEP_ROWS population rows: for each inner
     index in turn, the group's searches are bred together to the lowest
     threshold, and every threshold's outcome is then read off the

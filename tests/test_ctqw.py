@@ -18,8 +18,17 @@ from qwtopo.ctqw import (
     concatenated_distribution,
     spectral_propagator,
 )
-from qwtopo.errors import ShapeError
+from qwtopo.errors import ShapeError, TopologyError
 from qwtopo.graph import CouplingString, TopologyKind, TopologySpec, build_topology, to_hamiltonian
+
+
+@pytest.fixture(autouse=True)
+def cold_table(monkeypatch) -> None:
+    """Give every call an empty distribution table, so each test here reaches the kernel.
+
+    The table in front of it is tested in test_distribution_table.py.
+    """
+    monkeypatch.setattr(ctqw, "_distribution_table", ctqw._distribution_table.__wrapped__)
 
 
 def random_coupling(n: int, rng: np.random.Generator) -> CouplingString:
@@ -107,6 +116,18 @@ def test_batch_propagation_rejects_non_finite_times(times: tuple[float, ...]) ->
     # would never end the Chebyshev term count.
     with pytest.raises(ShapeError, match="finite"):
         batch_site_distributions(np.ones((1, 3), dtype=np.uint8), 3, ProbeState.ramp(3).amplitudes, times)
+
+
+@pytest.mark.parametrize("n", [3, 7])
+@pytest.mark.parametrize("value", [2, 255])
+def test_batch_propagation_refuses_couplings_other_than_0_and_1(n: int, value: int) -> None:
+    # A coupling of 2 pushes the spectrum past a = n - 1, which the
+    # expansion assumes: on complete n=3 at t=5 the "probabilities"
+    # summed to 2.3e10.  The table would also read it as another genome.
+    bits = np.ones((2, n * (n - 1) // 2), dtype=np.uint8)
+    bits[1, 0] = value
+    with pytest.raises(TopologyError, match="0 or 1"):
+        batch_site_distributions(bits, n, ProbeState.ramp(n).amplitudes, (0.5, 5.0))
 
 
 @pytest.mark.parametrize("probs", [[math.nan, 0.5], [0.5, 0.5, math.nan], [math.inf, 0.0], [math.inf, -math.inf]])
