@@ -189,7 +189,7 @@ def _evaluate(bits: np.ndarray, *memos: SearchMemo) -> tuple[np.ndarray, int]:
         cuts = _cuts(new, block, len(memos))
         fresh = _divergences(bits[new], memos, cuts, block)
         for memo, lo, hi in zip(memos, cuts, cuts[1:]):
-            memo.store[codes[new[lo:hi]]] = fresh[lo:hi]
+            memo.write(codes[new[lo:hi]], fresh[lo:hi])
         by_key = np.empty(len(new))
         by_key[order] = fresh
         scores[missed] = by_key[inverse]
@@ -257,11 +257,15 @@ class SearchMemo:
     is a float64 table of 2**n_c entries, 8 KB at n=5 and 256 KB at n=6,
     indexed by the genome code sum(bit_j * 2**j) and holding -1.0 for a
     genome not scored yet; for longer genomes it is a dict from genome
-    bytes to score.  ``scored`` counts the genomes it holds.  ``runs``
-    maps a config with its threshold dropped to the longest trajectory
-    recorded for it, one record per generation, and ``unreported`` to
-    the genomes its breeding newly scored that no result has reported
-    yet.
+    bytes to score.  ``scored`` counts the genomes it holds.  Once a
+    table holds every genome's score, whether ``fill`` scored them up
+    front or searches met them all, ``floor`` is the lowest score; until
+    then, and always for a dict, it is None.  No search can score below
+    the floor, so ``record_searches`` stops breeding a search whose best
+    reaches it.  ``runs`` maps a config with its threshold dropped to
+    the longest trajectory recorded for it, one record per generation,
+    and ``unreported`` to the genomes its breeding newly scored that no
+    result has reported yet; the key None holds those ``fill`` scored.
     """
 
     def __init__(self, target: ConcatenatedDistribution, psi0: ProbeState, grid: TimeGrid, metric: Metric) -> None:
@@ -276,15 +280,43 @@ class SearchMemo:
         self.target_flat = target.flat
         n_c = n * (n - 1) // 2
         self.store: np.ndarray | dict[bytes, float] = np.full(1 << n_c, -1.0) if n_c <= TABLE_GENES else {}
+        self._unscored = 1 << n_c
+        self.floor: float | None = None
         self.runs: dict[GAConfig, list[_Record]] = {}
-        self.unreported: dict[GAConfig, int] = {}
+        self.unreported: dict[GAConfig | None, int] = {}
 
     @property
     def scored(self) -> int:
         """How many distinct genomes the memo holds a score for."""
         if isinstance(self.store, dict):
             return len(self.store)
-        return int(np.count_nonzero(self.store >= 0))
+        return self.store.size - self._unscored
+
+    def write(self, codes: np.ndarray, scores: np.ndarray) -> None:
+        """Store the scores of genomes new to a table; the last one missing sets the floor."""
+        self.store[codes] = scores
+        self._unscored -= len(codes)
+        if self.floor is None and not self._unscored:
+            self.floor = float(self.store.min())
+
+    def fill(self, limit: int, rows: int) -> None:
+        """Score every genome a table does not hold yet, ``rows`` at a time and at most ``limit`` per propagation call.
+
+        The genomes go through ``_divergences`` in ascending code, as a
+        generation's misses do, so passing a lockstep generation's rows
+        and one population keeps the memory peak where breeding has it;
+        ``unreported[None]`` counts them.  A dict memo's genome space is
+        too large to score up front, so it is left as it is.
+        """
+        if isinstance(self.store, dict) or not self._unscored:
+            return
+        codes = np.flatnonzero(self.store < 0)
+        genes = np.arange(self.n * (self.n - 1) // 2)
+        for lo in range(0, len(codes), rows):
+            part = codes[lo : lo + rows]
+            bits = (part[:, None] >> genes & 1).astype(np.uint8)
+            self.write(part, _divergences(bits, (self,), [0, len(part)], limit))
+        self.unreported[None] = self.unreported.get(None, 0) + len(codes)
 
     def serves(self, target: ConcatenatedDistribution, psi0: ProbeState, grid: TimeGrid, metric: Metric) -> bool:
         """Whether the objective is this memo's, comparing the target and probe by value."""
@@ -319,7 +351,8 @@ def run_ga(
     records decide is read off them; any other runs from generation 0
     again, re-breeding the recorded prefix from memoised scores.  The
     first result read off a trajectory reports the genomes its breeding
-    scored, and later ones report 0.
+    scored, and later ones report 0; the first result read off a memo
+    also reports the genomes ``SearchMemo.fill`` scored.
     """
     if cache is None:
         cache = SearchMemo(target, psi0, grid, config.metric)
@@ -330,7 +363,7 @@ def run_ga(
         record_searches([cache], [config])
         outcome = _outcome(cache.runs[search], config)
     gen, reason, record = outcome
-    evaluations = cache.unreported.pop(search, 0)
+    evaluations = cache.unreported.pop(search, 0) + cache.unreported.pop(None, 0)
     return RunResult(CouplingString(record.best_bits, cache.n), record.best_score, gen, reason, evaluations)
 
 
@@ -343,7 +376,12 @@ def record_searches(memos: list[SearchMemo], configs: list[GAConfig]) -> None:
     halts by its own threshold, so its records do not depend on the
     searches bred beside it.  Each generation scores all live searches'
     rows in one ``_evaluate`` call and breeds them in one ``_breed``
-    pass.  Memo i ends up mapping configs[i] without its threshold to the
+    pass.  A search that does not halt settles once its memo holds every
+    genome's score and its best-so-far equals the memo's floor: no later
+    generation scores below the floor, and a tie keeps the best genome,
+    so its outcome under any threshold is fixed.  It leaves the live set,
+    and its records are padded to n_g with copies of the settling record.
+    Memo i ends up mapping configs[i] without its threshold to the
     records and to the count of genomes this breeding scored.
     """
     config, first = configs[0], memos[0]
@@ -382,7 +420,11 @@ def record_searches(memos: list[SearchMemo], configs: list[GAConfig]) -> None:
             else:
                 record = _Record(current, current, leading[j])
             records.append(record)
-            if _halt(record, configs[i].threshold) is None:
+            if _halt(record, configs[i].threshold) is not None:
+                continue
+            if record.best_score == memos[i].floor:
+                records += [record] * (config.n_g - len(records))
+            else:
                 going.append(j)
         if len(going) < len(live):
             if not going:

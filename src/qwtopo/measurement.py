@@ -32,10 +32,13 @@ __all__ = [
 
 
 # Population rows one lockstep group of a sweep may stack: 20 samples at
-# n=5, 4 at n=7, one from n=9 on.  Measured at n=5 (80 samples, 2 vCPUs),
-# groups of 10, 20 and 40 samples ran 1.13k, 1.28k and 1.42k runs/s
-# against 0.55k alone, for a traced peak of 0.7, 1.4 and 2.4 MB; at n=7
-# groups of 2, 4 and 8 ran 164, 168 and 161 runs/s against 154 alone.
+# n=5, 4 at n=7, one from n=9 on.  Measured at n=5 (80 samples, 2 vCPUs)
+# on searches that bred all 100 generations, groups of 10, 20 and 40
+# samples ran 1.13k, 1.28k and 1.42k runs/s against 0.55k alone, for a
+# traced peak of 0.7, 1.4 and 2.4 MB; at n=7 groups of 2, 4 and 8 ran
+# 164, 168 and 161 runs/s against 154 alone.  With n <= 6 searches
+# settling within a few generations, the benchmark's n=5 noise sweep
+# (groups of 10 samples) ran 8.4k-8.7k runs/s against 6.9k-7.1k alone.
 LOCKSTEP_ROWS = 4096
 
 
@@ -132,18 +135,25 @@ def monte_carlo_sweep(
     given inner run differs across thresholds only in when it halts.
     All searches against one target share one memo, so a genome is
     scored at most once per target (and, up to n = 6, propagated at most
-    once per process, see ``ctqw.batch_site_distributions``).  Consecutive samples are taken
-    in groups of at most LOCKSTEP_ROWS population rows: for each inner
-    index in turn, the group's searches are bred together to the lowest
-    threshold, and every threshold's outcome is then read off the
-    recorded trajectories.  The sweep sets every search's seed and
-    threshold: the seed of ``ga`` is unused, a threshold rejected.
+    once per process, see ``ctqw.batch_site_distributions``).  Up to
+    n = 6 the memo scores every genome before any search
+    (``SearchMemo.fill``), and the first result read off it reports them
+    all in ``evaluations``.  Consecutive samples are taken in groups of
+    at most LOCKSTEP_ROWS population rows: for each inner index in turn,
+    the group's searches are bred together to the lowest threshold, and
+    every threshold's outcome is then read off the recorded
+    trajectories.  A search whose best reaches its filled memo's lowest
+    score settles there (see ``record_searches``): its outcome is fixed,
+    and its records past that generation repeat the settling one.  The
+    sweep sets every search's seed and threshold: the seed of ``ga`` is
+    unused, a threshold rejected.
     """
     if ga.threshold is not None:
         raise ConfigError("a sweep sets the halt thresholds itself; drop the GA threshold")
     ideal = concatenated_distribution(truth, psi0, grid)
     tallies = {t: Counter() for t in noise.thresholds}
-    group = max(1, LOCKSTEP_ROWS // ga.resolved_n_p(truth.n_c))
+    n_p = ga.resolved_n_p(truth.n_c)
+    group = max(1, LOCKSTEP_ROWS // n_p)
     for start in range(0, noise.mc_runs, group):
         samples = range(start, min(start + group, noise.mc_runs))
         targets = [
@@ -151,6 +161,8 @@ def monte_carlo_sweep(
             for mc in samples
         ]
         memos = [SearchMemo(target, psi0, grid, ga.metric) for target in targets]
+        for memo in memos:
+            memo.fill(n_p, group * n_p)
         for inner in range(noise.inner_runs):
             seeds = [derive_seed(noise.seed, 1, mc, inner) for mc in samples]
             record_searches(memos, [replace(ga, threshold=noise.thresholds[0], seed=seed) for seed in seeds])

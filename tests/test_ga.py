@@ -576,6 +576,10 @@ def test_memo_store_is_a_table_up_to_n6_and_a_dict_above() -> None:
     assert isinstance(table, np.ndarray) and table.shape == (1 << 15,) and np.all(table == -1.0)
     assert star_memo(7).store == {}
     assert star_memo(6).scored == star_memo(7).scored == 0
+    # Only a table is scored up front; n=7's 2**21 genomes are left to the searches.
+    dict_memo = star_memo(7)
+    dict_memo.fill(10, 10)
+    assert dict_memo.store == {} and dict_memo.floor is None and dict_memo.unreported == {}
 
 
 # n=2 and n=4 have genomes shorter than a byte (n_c = 1 and 6); n=6 and
@@ -647,3 +651,106 @@ def test_evaluate_keys_every_gene_at_n12(monkeypatch) -> None:
     assert np.array_equal(calls[0], np.concatenate([star, other]))
     assert scores[0] == scores[2] == 0.0
     assert scores[1] == scores[3] > 0.0
+
+
+class UnsettledMemo(SearchMemo):
+    """A memo that never learns its floor, so its searches breed every generation, as before settling."""
+
+    floor = property(lambda self: None, lambda self, value: None)
+
+
+def noisy_problem(n: int, metric: Metric):
+    """A shot-noise star-n target, a memo filled with every genome's score, and a lazy unsettled memo."""
+    _, psi0, grid, ideal = star_problem(n)
+    target = sample_noisy_distribution(ideal, 500, np.random.default_rng(n))
+    filled, lazy = SearchMemo(target, psi0, grid, metric), UnsettledMemo(target, psi0, grid, metric)
+    return target, psi0, grid, filled, lazy
+
+
+def trace(records) -> list:
+    return [(r.current, r.best_score, r.best_bits.tobytes()) for r in records]
+
+
+# (n, n_p): populations small enough that most searches climb for a few
+# generations before they reach the floor.
+SETTLE_SHAPES = [(3, 2), (4, 10), (5, 24), (6, 120)]
+
+
+@pytest.mark.parametrize("n, n_p", SETTLE_SHAPES)
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("bred", [0.5, 1.0], ids=["below-floor", "at-floor"])
+def test_a_settled_search_reads_as_the_search_bred_to_the_end(n, n_p, metric, bred) -> None:
+    target, psi0, grid, filled, lazy = noisy_problem(n, metric)
+    config = GAConfig(n_p=n_p, n_g=30, metric=metric, seed=n)
+    filled.fill(n_p, 3 * n_p)
+    floor = filled.floor
+    assert floor == filled.store.min() > ga.ZERO_TOL and filled.scored == 2 ** (n * (n - 1) // 2)
+    # The bred threshold is at or below the floor, so neither search halts.
+    record_searches([filled], [replace(config, threshold=bred * floor)])
+    record_searches([lazy], [replace(config, threshold=bred * floor)])
+    [settled], [full] = filled.runs.values(), lazy.runs.values()
+    settle = next(gen for gen, record in enumerate(settled) if record.best_score == floor)
+    assert len(settled) == len(full) == config.n_g
+    assert trace(settled[: settle + 1]) == trace(full[: settle + 1])
+    assert all(record is settled[settle] for record in settled[settle:])
+    assert {r.best_score for r in full[settle:]} == {floor} and min(r.current for r in full) == floor
+    below = [bred * floor / 2, float(np.nextafter(bred * floor, 0))]
+    near = [float(np.nextafter(floor, 0)), floor, float(np.nextafter(floor, np.inf))]
+    for threshold in below + near + [2 * floor, 10 * floor, 1e9]:
+        cfg = replace(config, threshold=threshold)
+        (gen, reason, record), (gen_full, reason_full, record_full) = ga._outcome(settled, cfg), ga._outcome(full, cfg)
+        assert (gen, reason, record.best_score, record.best_bits.tobytes()) == (
+            gen_full, reason_full, record_full.best_score, record_full.best_bits.tobytes()
+        )
+        if reason is not HaltReason.MAX_GENERATIONS:
+            assert gen <= settle and record is settled[gen] and record.current == record_full.current
+        read_off = run_ga(target, psi0, grid, cfg, cache=filled)
+        assert outcome(read_off) == outcome(run_ga(target, psi0, grid, cfg, cache=lazy))
+        assert (read_off.halted_by is HaltReason.MAX_GENERATIONS) == (threshold <= floor)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("metric", list(Metric))
+def test_a_memo_its_searches_fill_settles_them_with_the_same_evaluations(monkeypatch, n, metric) -> None:
+    target, psi0, grid, memo, lazy = noisy_problem(n, metric)
+    config = GAConfig(n_g=40, p_m=0.2, metric=metric, seed=1)
+    calls = []
+    real_evaluate = ga._evaluate
+    monkeypatch.setattr(ga, "_evaluate", lambda *a: calls.append(len(a) - 1) or real_evaluate(*a))
+    settled = run_ga(target, psi0, grid, config, cache=memo)
+    bred = len(calls)
+    assert run_ga(target, psi0, grid, config, cache=lazy) == settled
+    assert len(calls) == bred + config.n_g
+    # Searching filled the memo, which then knew its floor and stopped breeding.
+    assert memo.floor == memo.store.min() and memo.scored == lazy.scored == 2 ** (n * (n - 1) // 2)
+    assert bred < config.n_g and settled.halted_by is HaltReason.MAX_GENERATIONS
+    assert settled.best_score == memo.floor and settled.evaluations == memo.scored
+
+
+def test_a_search_its_threshold_halts_is_never_padded() -> None:
+    target, psi0, grid, filled, _ = noisy_problem(5, Metric.KLD)
+    filled.fill(24, 240)
+    config = GAConfig(n_p=24, n_g=30, seed=5, threshold=float(np.nextafter(filled.floor, np.inf)))
+    result = run_ga(target, psi0, grid, config, cache=filled)
+    [records] = filled.runs.values()
+    assert result.halted_by is HaltReason.THRESHOLD and result.best_score == filled.floor
+    assert len(records) == result.generations_used + 1 < config.n_g
+    # A noiseless target's floor is zero: its search halts there, unpadded.
+    _, psi0, grid, ideal = star_problem(5)
+    memo = SearchMemo(ideal, psi0, grid, Metric.KLD)
+    memo.fill(24, 240)
+    result = run_ga(ideal, psi0, grid, GAConfig(n_p=24, n_g=30, seed=5), cache=memo)
+    [records] = memo.runs.values()
+    assert memo.floor == 0.0 and result.halted_by is HaltReason.ZERO_FITNESS
+    assert len(records) == result.generations_used + 1 < 30
+    assert result.evaluations == 2**10
+
+
+def test_a_tie_keeps_the_best_genome_found_first() -> None:
+    # Settling relies on it: a search whose best equals the floor keeps that genome.
+    *_, memo = noisy_problem(4, Metric.KLD)
+    memo.write(np.arange(64), np.full(64, 0.5))
+    record_searches([memo], [GAConfig(n_p=8, n_g=10, seed=2)])
+    [records] = memo.runs.values()
+    assert len(records) == 10 and {r.current for r in records} == {0.5}
+    assert all(r.best_bits is records[0].best_bits for r in records)

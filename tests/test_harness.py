@@ -204,6 +204,43 @@ def test_sweep_json_repeated_threshold_is_rejected() -> None:
         report_from_json(json.dumps(obj))
 
 
+def golden_sweep() -> dict:
+    return json.loads((Path(__file__).resolve().parent / "golden" / "sweep_star_n5.json").read_text())
+
+
+def test_sweep_json_row_shot_count_must_match_config() -> None:
+    obj = golden_sweep()
+    obj["results"][4]["N_r"] = 501
+    with pytest.raises(ConfigError, match="N_r"):
+        report_from_json(json.dumps(obj))
+
+
+def test_sweep_json_changed_threshold_is_rejected() -> None:
+    obj = golden_sweep()
+    obj["results"][3]["threshold"] = 123.0
+    with pytest.raises(ConfigError, match="thresholds"):
+        report_from_json(json.dumps(obj))
+
+
+def test_sweep_json_missing_threshold_row_is_rejected() -> None:
+    obj = golden_sweep()
+    del obj["results"][7]
+    assert len(obj["results"]) == len(obj["config"]["noise"]["thresholds"]) - 1
+    with pytest.raises(ConfigError, match="thresholds"):
+        report_from_json(json.dumps(obj))
+
+
+def test_sweep_json_is_empty_only_without_samples() -> None:
+    obj = golden_sweep()
+    obj["results"] = []
+    with pytest.raises(ConfigError, match="thresholds"):
+        report_from_json(json.dumps(obj))
+    report = small_sweep(NoiseConfig(thresholds=(1e-2, 1e-1), mc_runs=0))
+    text = report_to_text(report, ReportFormat.JSON)
+    assert json.loads(text)["results"] == []
+    assert report_from_json(text) == report
+
+
 @pytest.mark.parametrize("edit", ["missing", "unknown"])
 def test_benchmark_json_run_row_must_match_run_record(edit: str) -> None:
     report = benchmark_noiseless(small_spec(runs=2))

@@ -307,12 +307,60 @@ def test_monte_carlo_sweep_breeds_each_search_once(monkeypatch) -> None:
     tallies = monte_carlo_sweep(truth, psi0, grid, ga, noise)
     assert len(memos) == noise.mc_runs
     assert sum(len(memo.runs) for memo in memos) == noise.mc_runs * noise.inner_runs
-    # Every recorded generation's population is scored once.
-    assert sum(rows) == ga.n_p * sum(len(records) for memo in memos for records in memo.runs.values())
+    # Every bred generation's population is scored once.  A search is bred
+    # up to and including its settling record, the first whose best is the
+    # memo's floor; the records after it repeat it.
+    bred = [bred_generations(records, memo.floor) for memo in memos for records in memo.runs.values()]
+    assert sum(rows) == ga.n_p * sum(bred)
+    assert sum(bred) < sum(len(records) for memo in memos for records in memo.runs.values())
     # Every genome is propagated once, and reported by one result.
     assert len(results) == noise.mc_runs * noise.inner_runs * len(noise.thresholds)
     assert sum(r.evaluations for r in results) == sum(propagated) == sum(memo.scored for memo in memos)
     assert len({tuple(sorted(tally.items(), key=str)) for tally in tallies.values()}) > 1
+
+
+@pytest.mark.parametrize("lockstep_rows", [measurement.LOCKSTEP_ROWS, 80])
+def test_monte_carlo_sweep_scores_each_sample_once_up_front(monkeypatch, lockstep_rows: int) -> None:
+    # Up to n = 6 each sample's memo scores the whole genome space before
+    # any search, and the results read off it report exactly those rows.
+    fills, propagated, scored, results = [], [], [], []
+    real_fill, real_run_ga = ga_module.SearchMemo.fill, measurement.run_ga
+    real_propagate, real_kld = ga_module.batch_site_distributions, ga_module.batch_kld
+
+    def fill(memo, limit, rows):
+        before = len(propagated), len(scored)
+        real_fill(memo, limit, rows)
+        fills.append((memo, propagated[before[0] :], scored[before[1] :], limit, rows))
+
+    monkeypatch.setattr(measurement, "LOCKSTEP_ROWS", lockstep_rows)
+    monkeypatch.setattr(ga_module.SearchMemo, "fill", fill)
+    monkeypatch.setattr(
+        ga_module, "batch_site_distributions", lambda b, *a: propagated.append(len(b)) or real_propagate(b, *a)
+    )
+    monkeypatch.setattr(ga_module, "batch_kld", lambda m, t: scored.append(len(m)) or real_kld(m, t))
+    monkeypatch.setattr(
+        measurement, "run_ga", lambda *a, **k: results.append((k["cache"], real_run_ga(*a, **k))) or results[-1][1]
+    )
+    truth, psi0, grid = sweep_args(5)
+    noise = NoiseConfig(n_r=500, thresholds=(2e-3, 1e-2, 5e-2), mc_runs=3, inner_runs=2, seed=4)
+    ga = GAConfig(n_p=40, n_g=12)
+    monte_carlo_sweep(truth, psi0, grid, ga, noise)
+    assert len(fills) == noise.mc_runs
+    for memo, propagate_calls, score_calls, limit, rows in fills:
+        evaluations = [result.evaluations for cache, result in results if cache is memo]
+        assert len(evaluations) == noise.inner_runs * len(noise.thresholds)
+        assert sum(evaluations) == evaluations[0] == memo.scored == 2**truth.n_c
+        assert sum(propagate_calls) == sum(score_calls) == 2**truth.n_c
+        # No call takes more rows than breeding a lockstep group would pass.
+        assert (limit, rows) == (ga.n_p, lockstep_rows // ga.n_p * ga.n_p)
+        assert max(propagate_calls) == limit and max(score_calls) == min(rows, 2**truth.n_c)
+    # Breeding found every genome scored: nothing was propagated after the fills.
+    assert sum(propagated) == sum(scored) == noise.mc_runs * 2**truth.n_c
+
+
+def bred_generations(records: list, floor: float) -> int:
+    """The generations bred for a trajectory: up to its settling record, or all of them."""
+    return next((gen + 1 for gen, record in enumerate(records) if record.best_score == floor), len(records))
 
 
 def test_monte_carlo_sweep_groups_leave_every_search_unchanged(monkeypatch) -> None:
@@ -347,14 +395,14 @@ def outcome_and_count(result: RunResult) -> tuple:
     )
 
 
-# SHA-256 of the per-search record below; a sweep report holds only
-# tallies, so a change to any search that leaves the counts equal would
-# pass the golden sweep files unseen.
-SWEEP_SEARCHES_SHA256 = "014a13db589870c29b1e15374a3a20f92a3da96c922933dd6fa2d87b67be7ade"
+# SHA-256 of the per-search outcomes below, all fields but ``evaluations``;
+# a sweep report holds only tallies, so a change to any search that leaves
+# the counts equal would pass the golden sweep files unseen.
+SWEEP_SEARCHES_SHA256 = "921a0aa0f5c6fe71738bd4662d9b7be41edb7df3fdb447cdac7ab92481232bdc"
 
 
 def test_monte_carlo_sweep_searches_are_pinned(monkeypatch) -> None:
-    calls = []
+    calls, evaluations = [], []
     real_run_ga = measurement.run_ga
 
     def recording_run_ga(target, psi0, grid, config, **kwargs):
@@ -367,9 +415,9 @@ def test_monte_carlo_sweep_searches_are_pinned(monkeypatch) -> None:
                 repr(result.best_score),
                 result.generations_used,
                 result.halted_by.value,
-                result.evaluations,
             )
         )
+        evaluations.append(result.evaluations)
         return result
 
     monkeypatch.setattr(measurement, "run_ga", recording_run_ga)
@@ -377,3 +425,6 @@ def test_monte_carlo_sweep_searches_are_pinned(monkeypatch) -> None:
     monte_carlo_sweep(truth, psi0, grid, GAConfig(), NoiseConfig(mc_runs=3, inner_runs=2))
     assert len(calls) == 3 * 2 * len(default_thresholds())
     assert hashlib.sha256(repr(calls).encode()).hexdigest() == SWEEP_SEARCHES_SHA256
+    # Each sample's memo scores all 2**10 genomes up front, and the first
+    # result read off it reports them.
+    assert evaluations == ([2**10] + [0] * (2 * len(default_thresholds()) - 1)) * 3
