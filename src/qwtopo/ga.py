@@ -265,7 +265,8 @@ class SearchMemo:
     reaches it.  ``runs`` maps a config with its threshold dropped to
     the longest trajectory recorded for it, one record per generation,
     and ``unreported`` to the genomes its breeding newly scored that no
-    result has reported yet; the key None holds those ``fill`` scored.
+    result has reported yet.  ``filled`` counts the genomes ``fill``
+    scored that no result has reported yet.
     """
 
     def __init__(self, target: ConcatenatedDistribution, psi0: ProbeState, grid: TimeGrid, metric: Metric) -> None:
@@ -283,7 +284,8 @@ class SearchMemo:
         self._unscored = 1 << n_c
         self.floor: float | None = None
         self.runs: dict[GAConfig, list[_Record]] = {}
-        self.unreported: dict[GAConfig | None, int] = {}
+        self.unreported: dict[GAConfig, int] = {}
+        self.filled = 0
 
     @property
     def scored(self) -> int:
@@ -305,7 +307,7 @@ class SearchMemo:
         The genomes go through ``_divergences`` in ascending code, as a
         generation's misses do, so passing a lockstep generation's rows
         and one population keeps the memory peak where breeding has it;
-        ``unreported[None]`` counts them.  A dict memo's genome space is
+        ``filled`` counts them.  A dict memo's genome space is
         too large to score up front, so it is left as it is.
         """
         if isinstance(self.store, dict) or not self._unscored:
@@ -316,7 +318,7 @@ class SearchMemo:
             part = codes[lo : lo + rows]
             bits = (part[:, None] >> genes & 1).astype(np.uint8)
             self.write(part, _divergences(bits, (self,), [0, len(part)], limit))
-        self.unreported[None] = self.unreported.get(None, 0) + len(codes)
+        self.filled += len(codes)
 
     def serves(self, target: ConcatenatedDistribution, psi0: ProbeState, grid: TimeGrid, metric: Metric) -> bool:
         """Whether the objective is this memo's, comparing the target and probe by value."""
@@ -363,7 +365,8 @@ def run_ga(
         record_searches([cache], [config])
         outcome = _outcome(cache.runs[search], config)
     gen, reason, record = outcome
-    evaluations = cache.unreported.pop(search, 0) + cache.unreported.pop(None, 0)
+    evaluations = cache.unreported.pop(search, 0) + cache.filled
+    cache.filled = 0
     return RunResult(CouplingString(record.best_bits, cache.n), record.best_score, gen, reason, evaluations)
 
 

@@ -315,33 +315,41 @@ def emit_report(
     return target
 
 
+def _sweep_report(config: dict, rows: list[dict]) -> SweepReport:
+    noise = config["noise"]
+    tallies = {}
+    for row in rows:
+        tally = Counter({o: row[o.value] for o in Outcome})
+        if tally.total() != row["total"]:
+            raise ConfigError(f"sweep row {row}: total does not equal the sum of its counts")
+        if row["threshold"] in tallies:
+            raise ConfigError(f"sweep has more than one row for threshold {row['threshold']!r}")
+        if row["N_r"] != noise["n_r"]:
+            raise ConfigError(f"sweep row {row}: N_r is not the config's n_r={noise['n_r']!r}")
+        tallies[row["threshold"]] = tally
+    expected = noise["thresholds"] if noise["mc_runs"] else []
+    if list(tallies) != expected:
+        raise ConfigError(f"sweep rows have thresholds {list(tallies)}, but the config asks for {expected}")
+    return SweepReport(config=config, tallies=tallies)
+
+
 def report_from_json(text: str) -> BenchmarkReport | SweepReport:
     """Rebuild a report from its JSON serialization.
 
-    Raises ConfigError for a sweep row whose total is not the sum of its
-    counts, a threshold with more than one sweep row, a row whose N_r is
-    not the config's, sweep rows whose thresholds are not the config's
-    in order (none when the config draws no sample), or a run row whose
-    keys are not RunRecord's fields.
+    Raises ConfigError for a sweep config or row missing a field, a
+    sweep row whose total is not the sum of its counts, a threshold with
+    more than one sweep row, a row whose N_r is not the config's, sweep
+    rows whose thresholds are not the config's in order (none when the
+    config draws no sample), or a run row whose keys are not RunRecord's
+    fields.
     """
     obj = json.loads(text)
     config = obj["config"]
     if config.get("protocol") == "sweep":
-        noise = config["noise"]
-        tallies = {}
-        for row in obj["results"]:
-            tally = Counter({o: row[o.value] for o in Outcome})
-            if tally.total() != row["total"]:
-                raise ConfigError(f"sweep row {row}: total does not equal the sum of its counts")
-            if row["threshold"] in tallies:
-                raise ConfigError(f"sweep has more than one row for threshold {row['threshold']!r}")
-            if row["N_r"] != noise["n_r"]:
-                raise ConfigError(f"sweep row {row}: N_r is not the config's n_r={noise['n_r']!r}")
-            tallies[row["threshold"]] = tally
-        expected = noise["thresholds"] if noise["mc_runs"] else []
-        if list(tallies) != expected:
-            raise ConfigError(f"sweep rows have thresholds {list(tallies)}, but the config asks for {expected}")
-        return SweepReport(config=config, tallies=tallies)
+        try:
+            return _sweep_report(config, obj["results"])
+        except KeyError as exc:
+            raise ConfigError(f"sweep report has no field {exc}") from None
     entries = []
     for res in obj["results"]:
         try:

@@ -579,7 +579,7 @@ def test_memo_store_is_a_table_up_to_n6_and_a_dict_above() -> None:
     # Only a table is scored up front; n=7's 2**21 genomes are left to the searches.
     dict_memo = star_memo(7)
     dict_memo.fill(10, 10)
-    assert dict_memo.store == {} and dict_memo.floor is None and dict_memo.unreported == {}
+    assert dict_memo.store == {} and dict_memo.floor is None and dict_memo.filled == 0
 
 
 # n=2 and n=4 have genomes shorter than a byte (n_c = 1 and 6); n=6 and

@@ -241,6 +241,27 @@ def test_sweep_json_is_empty_only_without_samples() -> None:
     assert report_from_json(text) == report
 
 
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("config", "noise"),
+        ("config", "noise", "n_r"),
+        ("config", "noise", "thresholds"),
+        ("config", "noise", "mc_runs"),
+        ("results", 2, "N_r"),
+    ],
+    ids=lambda path: "/".join(map(str, path)),
+)
+def test_sweep_json_missing_field_is_rejected(path: tuple) -> None:
+    obj = golden_sweep()
+    holder = obj
+    for key in path[:-1]:
+        holder = holder[key]
+    del holder[path[-1]]
+    with pytest.raises(ConfigError, match=repr(path[-1])):
+        report_from_json(json.dumps(obj))
+
+
 @pytest.mark.parametrize("edit", ["missing", "unknown"])
 def test_benchmark_json_run_row_must_match_run_record(edit: str) -> None:
     report = benchmark_noiseless(small_spec(runs=2))
