@@ -334,10 +334,22 @@ def _cmd_sweep(args) -> int:
     return _write_report(args, cfg, report)
 
 
+# The parser cli_main reuses, built on its first call rather than at import.
+_parser: _Parser | None = None
+
+
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code.
+
+    The parser is built on the first call and reused by later calls in
+    the process; each call parses into a fresh namespace, so no parsed
+    value carries over from one call to the next.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

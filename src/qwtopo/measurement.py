@@ -144,9 +144,11 @@ def monte_carlo_sweep(
     every threshold's outcome is then read off the recorded
     trajectories.  A search whose best reaches its filled memo's lowest
     score settles there (see ``record_searches``): its outcome is fixed,
-    and its records past that generation repeat the settling one.  The
-    sweep sets every search's seed and threshold: the seed of ``ga`` is
-    unused, a threshold rejected.
+    and its records past that generation repeat the settling one.  Each
+    search's seed is derived once and serves its breeding and all its
+    read-offs, which go sample by sample, threshold by threshold, inner
+    run by inner run.  The sweep sets every search's seed and threshold:
+    the seed of ``ga`` is unused, a threshold rejected.
     """
     if ga.threshold is not None:
         raise ConfigError("a sweep sets the halt thresholds itself; drop the GA threshold")
@@ -165,13 +167,13 @@ def monte_carlo_sweep(
         # per sample (1.13x-1.27x runs/s, BENCH_d57f74b-settle-n6.json).
         for memo in memos:
             memo.fill(n_p, group * n_p)
+        # seeds[j][inner]: the seed of sample j's search ``inner``.
+        seeds = [[derive_seed(noise.seed, 1, mc, inner) for inner in range(noise.inner_runs)] for mc in samples]
         for inner in range(noise.inner_runs):
-            seeds = [derive_seed(noise.seed, 1, mc, inner) for mc in samples]
-            record_searches(memos, [replace(ga, threshold=noise.thresholds[0], seed=seed) for seed in seeds])
-        for mc, target, memo in zip(samples, targets, memos):
+            record_searches(memos, [replace(ga, threshold=noise.thresholds[0], seed=row[inner]) for row in seeds])
+        for target, memo, row in zip(targets, memos, seeds):
             for threshold in noise.thresholds:
-                for inner in range(noise.inner_runs):
-                    cfg = replace(ga, threshold=threshold, seed=derive_seed(noise.seed, 1, mc, inner))
-                    result = run_ga(target, psi0, grid, cfg, cache=memo)
+                for seed in row:
+                    result = run_ga(target, psi0, grid, replace(ga, threshold=threshold, seed=seed), cache=memo)
                     tallies[threshold][classify_outcome(result, truth)] += 1
     return tallies if noise.mc_runs else {}

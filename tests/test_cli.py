@@ -33,6 +33,21 @@ def test_help_exits_zero(capsys) -> None:
     assert "simulate" in out and "reconstruct" in out
 
 
+def test_one_parser_serves_every_call_without_carrying_state(capsys, monkeypatch, tmp_path: Path) -> None:
+    monkeypatch.setattr(cli, "_parser", None)
+    plain = ["benchmark", "--topology", "star", "--n", "4", "--runs", "2", "--format", "json"]
+    assert cli_main([*plain, "--output", str(tmp_path / "first.json")]) == 0
+    parser = cli._parser
+    tuned = ["--ng", "2", "--seed", "5", "--metric", "kolmogorov", "--output", str(tmp_path / "tuned.json")]
+    assert cli_main([*plain, *tuned]) == 0
+    assert cli_main([*plain, "--ng", "3", "--metric", "bogus"]) == 1
+    assert cli_main([*plain, "--output", str(tmp_path / "again.json")]) == 0
+    assert cli._parser is parser
+    first = (tmp_path / "first.json").read_bytes()
+    assert (tmp_path / "again.json").read_bytes() == first != (tmp_path / "tuned.json").read_bytes()
+    capsys.readouterr()
+
+
 def test_unknown_flag_exits_one(capsys) -> None:
     code, _, err = run_cli(capsys, "simulate", "--bogus")
     assert code == 1

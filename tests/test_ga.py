@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qwtopo import ga
 from qwtopo.ctqw import ProbeState, TimeGrid, batch_site_distributions, concatenated_distribution
@@ -754,3 +755,50 @@ def test_a_tie_keeps_the_best_genome_found_first() -> None:
     [records] = memo.runs.values()
     assert len(records) == 10 and {r.current for r in records} == {0.5}
     assert all(r.best_bits is records[0].best_bits for r in records)
+
+
+def scanned_outcome(records, config: GAConfig):
+    """The read-off as a scan of every record in turn, the reference for ``ga._outcome``."""
+    for gen, record in enumerate(records):
+        reason = ga._halt(record, config.threshold)
+        if reason is not None:
+            return gen, reason, record
+    if len(records) < config.n_g:
+        return None
+    return config.n_g, HaltReason.MAX_GENERATIONS, records[-1]
+
+
+def running_records(currents: list[float]) -> list:
+    """Records as ``record_searches`` makes them: the best so far keeps the genome that first scored it."""
+    records = []
+    for gen, current in enumerate(currents):
+        if records and records[-1].best_score <= current:
+            records.append(ga._Record(current, records[-1].best_score, records[-1].best_bits))
+        else:
+            records.append(ga._Record(current, current, np.array([gen], dtype=np.uint8)))
+    return records
+
+
+# Scores around the halt bounds, drawn often enough to tie: exact zeros,
+# values below, at and just above ZERO_TOL, and noisy-target-sized ones.
+EDGE_SCORES = [0.0, 1e-16, 5e-16, float(np.nextafter(ga.ZERO_TOL, 0)), ga.ZERO_TOL, 2e-15, 1e-3, 0.05, 0.2]
+SCORES = st.one_of(st.sampled_from(EDGE_SCORES), st.floats(min_value=0.0, max_value=1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(currents=st.lists(SCORES, max_size=25), unbred=st.integers(0, 3))
+def test_outcome_reads_off_what_a_scan_of_every_record_reads(currents: list[float], unbred: int) -> None:
+    records = running_records(currents)
+    # unbred > 0: a partial trajectory, which decides only the thresholds it halts.
+    config = GAConfig(n_g=max(1, len(records) + unbred))
+    thresholds = {None, 0.0, 1e-16}
+    for current in currents:
+        thresholds |= {current, float(np.nextafter(current, 0)), float(np.nextafter(current, np.inf))}
+    for threshold in thresholds:
+        cfg = replace(config, threshold=threshold)
+        read_off, scanned = ga._outcome(records, cfg), scanned_outcome(records, cfg)
+        if scanned is None:
+            assert read_off is None and len(records) < cfg.n_g
+        else:
+            (gen, reason, record), (scanned_gen, scanned_reason, scanned_record) = read_off, scanned
+            assert (gen, reason) == (scanned_gen, scanned_reason) and record is scanned_record, threshold

@@ -31,6 +31,17 @@ _LINE = (
 _SWEEP = ("sweep", "--topology", "star", "--n", "5", "--mc-runs", "3")
 # The sweep's one seed: noise samples and, through them, every search.
 _SWEEP_SEED = (*_SWEEP, "--seed", "3")
+# Line sweeps that between them classify TP, FP, TN and FN.  n = 6 reads
+# off a filled table whose searches settle early; n = 7 reads off a dict
+# memo, whose searches run every generation they need.
+_SWEEP_LINE6 = (
+    "sweep", "--topology", "line", "--n", "6", "--mc-runs", "2", "--inner-runs", "2",
+    "--seed", "4",
+)
+_SWEEP_LINE7 = (
+    "sweep", "--topology", "line", "--n", "7", "--mc-runs", "2", "--inner-runs", "1",
+    "--seed", "5",
+)
 # Target files: the exact distribution, and a noisy estimate of it.
 _SIMULATE = ("simulate", "--topology", "star", "--n", "5", "--times", "0.5,0.6,1")
 _SIMULATE_NOISY = (*_SIMULATE, "--nr", "500", "--seed", "3")
@@ -45,6 +56,10 @@ GOLDEN = {
     "sweep_star_n5.json": _SWEEP,
     "sweep_star_n5_seed3.csv": _SWEEP_SEED,
     "sweep_star_n5_seed3.json": _SWEEP_SEED,
+    "sweep_line_n6_seed4.csv": _SWEEP_LINE6,
+    "sweep_line_n6_seed4.json": _SWEEP_LINE6,
+    "sweep_line_n7_seed5.csv": _SWEEP_LINE7,
+    "sweep_line_n7_seed5.json": _SWEEP_LINE7,
     "simulate_star_n5.json": _SIMULATE,
     "simulate_star_n5_nr500_seed3.json": _SIMULATE_NOISY,
 }

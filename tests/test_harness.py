@@ -262,6 +262,30 @@ def test_sweep_json_missing_field_is_rejected(path: tuple) -> None:
         report_from_json(json.dumps(obj))
 
 
+def golden_benchmark() -> dict:
+    return json.loads((Path(__file__).resolve().parent / "golden" / "benchmark_star_n5-7.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("config",), ("results",), ("results", 1, "topology"), ("results", 1, "n"), ("results", 1, "n_p"), ("results", 1, "runs")],
+    ids=lambda path: "/".join(map(str, path)),
+)
+def test_benchmark_json_missing_field_is_rejected(path: tuple) -> None:
+    obj = golden_benchmark()
+    holder = obj
+    for key in path[:-1]:
+        holder = holder[key]
+    del holder[path[-1]]
+    with pytest.raises(ConfigError, match=repr(path[-1])):
+        report_from_json(json.dumps(obj))
+
+
+def test_json_report_must_be_an_object() -> None:
+    with pytest.raises(ConfigError, match="JSON object"):
+        report_from_json(json.dumps([golden_benchmark()]))
+
+
 @pytest.mark.parametrize("edit", ["missing", "unknown"])
 def test_benchmark_json_run_row_must_match_run_record(edit: str) -> None:
     report = benchmark_noiseless(small_spec(runs=2))
