@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
@@ -22,7 +22,7 @@ import numpy as np
 from .ctqw import ConcatenatedDistribution, ProbeState, TimeGrid, batch_site_distributions
 from .errors import ConfigError, ShapeError, seed_value, whole_count
 from .fitness import Metric, batch_kld, batch_kolmogorov
-from .graph import TABLE_GENES, CouplingString, genome_codes
+from .graph import TABLE_GENES, CouplingString, genome_bits, genome_codes
 
 __all__ = [
     "ZERO_TOL",
@@ -222,10 +222,11 @@ def _cuts(rows: np.ndarray, block: int, n_blocks: int) -> list[int]:
 def _divergences(fresh: np.ndarray, memos: tuple[SearchMemo, ...], cuts: list[int], limit: int) -> np.ndarray:
     """Propagate the rows and score them, memo i scoring rows cuts[i]:cuts[i + 1] against its target.
 
-    Each propagation call takes at most ``limit`` rows, one search's
-    population, so breeding searches together neither raises the
-    propagation's memory peak nor splits across threads a batch that one
-    search alone would not split.
+    Each propagation call takes at most ``limit`` rows.  ``_evaluate``
+    passes one search's population, so breeding searches together
+    neither raises the propagation's memory peak nor splits across
+    threads a batch that one search alone would not split;
+    ``SearchMemo.fill`` passes its slice, so each slice is one call.
     """
     memo = memos[0]
     pieces = [
@@ -246,7 +247,12 @@ class _Record(NamedTuple):
 
     current: float  # this generation's best score
     best_score: float  # best score seen up to and including it
-    best_bits: np.ndarray  # the genome that scored best_score
+    best: CouplingString  # the genome that scored best_score, built when it first became best
+
+
+def _search_key(config: GAConfig) -> tuple:
+    """The config's fields other than the threshold, the seed last: what a trajectory depends on."""
+    return (config.n_p, config.p_e, config.k, config.p_c, config.p_m, config.n_g, config.metric, config.seed)
 
 
 class SearchMemo:
@@ -263,11 +269,12 @@ class SearchMemo:
     front or searches met them all, ``floor`` is the lowest score; until
     then, and always for a dict, it is None.  No search can score below
     the floor, so ``record_searches`` stops breeding a search whose best
-    reaches it.  ``runs`` maps a config with its threshold dropped to
-    the longest trajectory recorded for it, one record per generation,
-    and ``unreported`` to the genomes its breeding newly scored that no
-    result has reported yet.  ``filled`` counts the genomes ``fill``
-    scored that no result has reported yet.
+    reaches it.  ``runs`` maps a config's settings other than the
+    threshold (``_search_key``) to the longest trajectory recorded for
+    them, one record per generation, and ``unreported`` to the genomes
+    its breeding newly scored that no result has reported yet.
+    ``filled`` counts the genomes ``fill`` scored that no result has
+    reported yet.
     """
 
     def __init__(self, target: ConcatenatedDistribution, psi0: ProbeState, grid: TimeGrid, metric: Metric) -> None:
@@ -283,8 +290,8 @@ class SearchMemo:
         self.store: np.ndarray | dict[bytes, float] = np.full(1 << n_c, -1.0) if n_c <= TABLE_GENES else {}
         self._unscored = 1 << n_c
         self.floor: float | None = None
-        self.runs: dict[GAConfig, list[_Record]] = {}
-        self.unreported: dict[GAConfig, int] = {}
+        self.runs: dict[tuple, list[_Record]] = {}
+        self.unreported: dict[tuple, int] = {}
         self.filled = 0
 
     @property
@@ -301,23 +308,24 @@ class SearchMemo:
         if self.floor is None and not self._unscored:
             self.floor = float(self.store.min())
 
-    def fill(self, limit: int, rows: int) -> None:
-        """Score every genome a table does not hold yet, ``rows`` at a time and at most ``limit`` per propagation call.
+    def fill(self, rows: int) -> None:
+        """Score every genome a table does not hold yet, in slices of ``rows`` genomes, one propagation call each.
 
-        The genomes go through ``_divergences`` in ascending code, as a
-        generation's misses do, so passing a lockstep generation's rows
-        and one population keeps the memory peak where breeding has it;
-        ``filled`` counts them.  A dict memo's genome space is
-        too large to score up front, so it is left as it is.
+        The genomes go through ``_divergences`` in ascending code, their
+        bits taken from the table of every genome (``graph.genome_bits``);
+        ``filled`` counts them.  A slice of a lockstep generation's rows
+        propagates in one call, so a cold fill's memory peak is that of
+        propagating those rows at once, above breeding's one population
+        per call.  A dict memo's genome space is too large to score up
+        front, so it is left as it is.
         """
         if isinstance(self.store, dict) or not self._unscored:
             return
         codes = np.flatnonzero(self.store < 0)
-        genes = np.arange(self.n * (self.n - 1) // 2)
+        every = genome_bits(self.n * (self.n - 1) // 2)
         for lo in range(0, len(codes), rows):
             part = codes[lo : lo + rows]
-            bits = (part[:, None] >> genes & 1).astype(np.uint8)
-            self.write(part, _divergences(bits, (self,), [0, len(part)], limit))
+            self.write(part, _divergences(every[part], (self,), [0, len(part)], rows))
         self.filled += len(codes)
 
     def serves(self, target: ConcatenatedDistribution, psi0: ProbeState, grid: TimeGrid, metric: Metric) -> bool:
@@ -346,8 +354,10 @@ def run_ga(
     Per generation: score everyone, halt if the generation's best beats
     the threshold (checked first) or is below ZERO_TOL (scores are never
     negative), otherwise clone the hall of fame and breed the rest.
-    Returns the best individual ever seen; ``evaluations`` counts the
-    distinct genomes scored that were not in the memo yet.
+    Returns the best individual ever seen, the ``CouplingString`` its
+    record holds, so results read off one record share it;
+    ``evaluations`` counts the distinct genomes scored that were not in
+    the memo yet.
 
     ``cache`` is the memo, a fresh one by default; a memo made for
     another target, probe, times or metric raises ConfigError (target
@@ -366,14 +376,14 @@ def run_ga(
         cache = SearchMemo(target, psi0, grid, config.metric)
     elif not cache.serves(target, psi0, grid, config.metric):
         raise ConfigError("the memo was made for another target, probe, times or metric")
-    search = replace(config, threshold=None)
+    search = _search_key(config)
     if (outcome := _outcome(cache.runs.get(search, []), config)) is None:
         record_searches([cache], [config])
         outcome = _outcome(cache.runs[search], config)
     gen, reason, record = outcome
     evaluations = cache.unreported.pop(search, 0) + cache.filled
     cache.filled = 0
-    return RunResult(CouplingString(record.best_bits, cache.n), record.best_score, gen, reason, evaluations)
+    return RunResult(record.best, record.best_score, gen, reason, evaluations)
 
 
 def record_searches(memos: list[SearchMemo], configs: list[GAConfig]) -> None:
@@ -390,11 +400,13 @@ def record_searches(memos: list[SearchMemo], configs: list[GAConfig]) -> None:
     generation scores below the floor, and a tie keeps the best genome,
     so its outcome under any threshold is fixed.  It leaves the live set,
     and its records are padded to n_g with copies of the settling record.
-    Memo i ends up mapping configs[i] without its threshold to the
-    records and to the count of genomes this breeding scored.
+    Memo i ends up mapping configs[i]'s settings other than the threshold
+    (``_search_key``) to the records and to the count of genomes this
+    breeding scored.
     """
     config, first = configs[0], memos[0]
-    if any(replace(c, seed=config.seed, threshold=config.threshold) != config for c in configs[1:]):
+    keys = [_search_key(c) for c in configs]
+    if any(key[:-1] != keys[0][:-1] for key in keys[1:]):
         raise ConfigError("searches bred together may differ only in seed and threshold")
     if len({id(memo) for memo in memos}) < len(memos) or not all(
         memo.metric is config.metric
@@ -425,9 +437,9 @@ def record_searches(memos: list[SearchMemo], configs: list[GAConfig]) -> None:
         for j, i in enumerate(live):
             records, current = trajectories[i], currents[j]
             if records and records[-1].best_score <= current:
-                record = _Record(current, records[-1].best_score, records[-1].best_bits)
+                record = _Record(current, records[-1].best_score, records[-1].best)
             else:
-                record = _Record(current, current, leading[j])
+                record = _Record(current, current, CouplingString(leading[j], first.n))
             records.append(record)
             if _halt(record, configs[i].threshold) is not None:
                 continue
@@ -441,10 +453,9 @@ def record_searches(memos: list[SearchMemo], configs: list[GAConfig]) -> None:
             live = [live[j] for j in going]
             bits = bits.reshape(-1, n_p, n_c)[going].reshape(-1, n_c)
             scores = scores.reshape(-1, n_p)[going].ravel()
-    for memo, c, records, before in zip(memos, configs, trajectories, scored):
-        search = replace(c, threshold=None)
-        memo.runs[search] = records
-        memo.unreported[search] = memo.unreported.get(search, 0) + memo.scored - before
+    for memo, key, records, before in zip(memos, keys, trajectories, scored):
+        memo.runs[key] = records
+        memo.unreported[key] = memo.unreported.get(key, 0) + memo.scored - before
 
 
 def _halt(record: _Record, threshold: float | None) -> HaltReason | None:

@@ -166,7 +166,7 @@ def monte_carlo_sweep(
         # Filling pays at every table size, least at n = 6 with one search
         # per sample (1.13x-1.27x runs/s, BENCH_d57f74b-settle-n6.json).
         for memo in memos:
-            memo.fill(n_p, group * n_p)
+            memo.fill(group * n_p)
         # seeds[j][inner]: the seed of sample j's search ``inner``.
         seeds = [[derive_seed(noise.seed, 1, mc, inner) for inner in range(noise.inner_runs)] for mc in samples]
         for inner in range(noise.inner_runs):

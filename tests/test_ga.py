@@ -4,7 +4,7 @@ from __future__ import annotations
 import hashlib
 import math
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from qwtopo.ctqw import ProbeState, TimeGrid, batch_site_distributions, concaten
 from qwtopo.errors import ConfigError, ShapeError
 from qwtopo.fitness import Metric, batch_kld, batch_kolmogorov
 from qwtopo.ga import GAConfig, HaltReason, SearchMemo, _breed, _evaluate, record_searches, run_ga
-from qwtopo.graph import TopologyKind, TopologySpec, build_topology
+from qwtopo.graph import CouplingString, TopologyKind, TopologySpec, build_topology
 from qwtopo.measurement import sample_noisy_distribution
 
 
@@ -377,7 +377,7 @@ def noisy_searches(n: int, count: int, metric: Metric):
 def recorded(memo: SearchMemo):
     """The one search a memo recorded, with its records and unreported count, and its scores."""
     [(search, records)] = memo.runs.items()
-    trace = [(r.current, r.best_score, r.best_bits.tobytes()) for r in records]
+    trace = [(r.current, r.best_score, r.best.bits.tobytes()) for r in records]
     store = memo.store.tolist() if isinstance(memo.store, np.ndarray) else memo.store
     return search, trace, memo.unreported[search], store
 
@@ -397,7 +397,7 @@ def test_searches_bred_together_match_searches_bred_alone(n, n_p, n_g, metric, p
     # score at n_g // 2, and searches 0 and 3 run all n_g generations.
     _, memos, _, _ = noisy_searches(n, count, metric)
     record_searches([memos[2]], [configs[2]])
-    halfway = memos[2].runs[configs[2]][n_g // 2].current
+    halfway = memos[2].runs[ga._search_key(configs[2])][n_g // 2].current
     configs[1] = replace(configs[1], threshold=1e9)
     configs[2] = replace(configs[2], threshold=float(np.nextafter(halfway, np.inf)))
 
@@ -408,7 +408,7 @@ def test_searches_bred_together_match_searches_bred_alone(n, n_p, n_g, metric, p
         alone = noisy_searches(n, count, metric)[1][i]
         record_searches([alone], [config])
         assert recorded(together[i]) == recorded(alone)
-        lengths.add(len(alone.runs[replace(config, threshold=None)]))
+        lengths.add(len(alone.runs[ga._search_key(config)]))
         read_off = run_ga(targets[i], psi0, grid, config, cache=together[i])
         fresh = run_ga(targets[i], psi0, grid, config)
         assert outcome(read_off) + (read_off.evaluations,) == outcome(fresh) + (fresh.evaluations,)
@@ -427,6 +427,16 @@ def test_searches_bred_together_need_matching_configs_and_distinct_memos() -> No
     with pytest.raises(ConfigError, match="distinct memos"):
         record_searches([memos[0], other], [GAConfig(n_p=8, n_g=2, seed=s) for s in range(2)])
     assert memos[0].runs == memos[1].runs == other.runs == {}
+
+
+def test_a_search_key_holds_every_setting_but_the_threshold() -> None:
+    # The records of searches that differ only in threshold are shared under
+    # this key, and lockstep breeding compares it without its last field.
+    config = GAConfig(n_p=8, p_e=0.1, k=3, p_c=0.5, p_m=0.2, n_g=7, threshold=0.3, seed=9, metric=Metric.KOLMOGOROV)
+    key = ga._search_key(config)
+    others = [getattr(config, f.name) for f in fields(GAConfig) if f.name != "threshold"]
+    assert sorted(map(repr, key)) == sorted(map(repr, others)) and key[-1] == config.seed
+    assert ga._search_key(replace(config, threshold=None)) == key != ga._search_key(replace(config, seed=10))
 
 
 def test_searches_that_differ_beyond_the_threshold_keep_their_own_records() -> None:
@@ -579,7 +589,7 @@ def test_memo_store_is_a_table_up_to_n6_and_a_dict_above() -> None:
     assert star_memo(6).scored == star_memo(7).scored == 0
     # Only a table is scored up front; n=7's 2**21 genomes are left to the searches.
     dict_memo = star_memo(7)
-    dict_memo.fill(10, 10)
+    dict_memo.fill(10)
     assert dict_memo.store == {} and dict_memo.floor is None and dict_memo.filled == 0
 
 
@@ -669,7 +679,7 @@ def noisy_problem(n: int, metric: Metric):
 
 
 def trace(records) -> list:
-    return [(r.current, r.best_score, r.best_bits.tobytes()) for r in records]
+    return [(r.current, r.best_score, r.best.bits.tobytes()) for r in records]
 
 
 # (n, n_p): populations small enough that most searches climb for a few
@@ -683,7 +693,7 @@ SETTLE_SHAPES = [(3, 2), (4, 10), (5, 24), (6, 120)]
 def test_a_settled_search_reads_as_the_search_bred_to_the_end(n, n_p, metric, bred) -> None:
     target, psi0, grid, filled, lazy = noisy_problem(n, metric)
     config = GAConfig(n_p=n_p, n_g=30, metric=metric, seed=n)
-    filled.fill(n_p, 3 * n_p)
+    filled.fill(3 * n_p)
     floor = filled.floor
     assert floor == filled.store.min() > ga.ZERO_TOL and filled.scored == 2 ** (n * (n - 1) // 2)
     # The bred threshold is at or below the floor, so neither search halts.
@@ -700,8 +710,8 @@ def test_a_settled_search_reads_as_the_search_bred_to_the_end(n, n_p, metric, br
     for threshold in below + near + [2 * floor, 10 * floor, 1e9]:
         cfg = replace(config, threshold=threshold)
         (gen, reason, record), (gen_full, reason_full, record_full) = ga._outcome(settled, cfg), ga._outcome(full, cfg)
-        assert (gen, reason, record.best_score, record.best_bits.tobytes()) == (
-            gen_full, reason_full, record_full.best_score, record_full.best_bits.tobytes()
+        assert (gen, reason, record.best_score, record.best.bits.tobytes()) == (
+            gen_full, reason_full, record_full.best_score, record_full.best.bits.tobytes()
         )
         if reason is not HaltReason.MAX_GENERATIONS:
             assert gen <= settle and record is settled[gen] and record.current == record_full.current
@@ -730,7 +740,7 @@ def test_a_memo_its_searches_fill_settles_them_with_the_same_evaluations(monkeyp
 
 def test_a_search_its_threshold_halts_is_never_padded() -> None:
     target, psi0, grid, filled, _ = noisy_problem(5, Metric.KLD)
-    filled.fill(24, 240)
+    filled.fill(240)
     config = GAConfig(n_p=24, n_g=30, seed=5, threshold=float(np.nextafter(filled.floor, np.inf)))
     result = run_ga(target, psi0, grid, config, cache=filled)
     [records] = filled.runs.values()
@@ -739,7 +749,7 @@ def test_a_search_its_threshold_halts_is_never_padded() -> None:
     # A noiseless target's floor is zero: its search halts there, unpadded.
     _, psi0, grid, ideal = star_problem(5)
     memo = SearchMemo(ideal, psi0, grid, Metric.KLD)
-    memo.fill(24, 240)
+    memo.fill(240)
     result = run_ga(ideal, psi0, grid, GAConfig(n_p=24, n_g=30, seed=5), cache=memo)
     [records] = memo.runs.values()
     assert memo.floor == 0.0 and result.halted_by is HaltReason.ZERO_FITNESS
@@ -754,7 +764,7 @@ def test_a_tie_keeps_the_best_genome_found_first() -> None:
     record_searches([memo], [GAConfig(n_p=8, n_g=10, seed=2)])
     [records] = memo.runs.values()
     assert len(records) == 10 and {r.current for r in records} == {0.5}
-    assert all(r.best_bits is records[0].best_bits for r in records)
+    assert all(r.best is records[0].best for r in records)
 
 
 def scanned_outcome(records, config: GAConfig):
@@ -773,9 +783,9 @@ def running_records(currents: list[float]) -> list:
     records = []
     for gen, current in enumerate(currents):
         if records and records[-1].best_score <= current:
-            records.append(ga._Record(current, records[-1].best_score, records[-1].best_bits))
+            records.append(ga._Record(current, records[-1].best_score, records[-1].best))
         else:
-            records.append(ga._Record(current, current, np.array([gen], dtype=np.uint8)))
+            records.append(ga._Record(current, current, CouplingString(np.array([gen & 1]), 2)))
     return records
 
 

@@ -1,6 +1,8 @@
 """Coupling-string encoding and topology construction."""
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,8 @@ from qwtopo.graph import (
     TopologySpec,
     build_topology,
     coupling_index,
+    genome_bits,
+    genome_codes,
     hamiltonian_stack,
     load_edge_list,
     parse_topology_label,
@@ -86,12 +90,36 @@ def test_coupling_string_equality_and_hash() -> None:
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert a != "101"
+    # Genomes that differ only in their last bit.
+    d = CouplingString(np.array([1, 1, 0, 0, 1, 0]), 4)
+    e = CouplingString(np.array([1, 1, 0, 0, 1, 1]), 4)
+    assert d != e and d == CouplingString.from_bitstring("110010", 4)
+    # Bool input is stored as the same uint8 bits as int input.
+    f = CouplingString(np.array([True, False, True]), 3)
+    assert f == a and hash(f) == hash(a)
 
 
 def test_coupling_string_bits_are_read_only() -> None:
     a = CouplingString(np.array([1, 0, 1]), 3)
     with pytest.raises(ValueError):
         a.bits[0] = 0
+
+
+def test_coupling_string_is_frozen() -> None:
+    a = CouplingString(np.array([1, 0, 1]), 3)
+    with pytest.raises(FrozenInstanceError):
+        a.bits = np.array([0, 0, 0], dtype=np.uint8)
+    with pytest.raises(FrozenInstanceError):
+        a.n = 4
+    assert a.to_bitstring() == "101" and a.n == 3
+
+
+@pytest.mark.parametrize("n_c", [1, 3, 10])
+def test_genome_bits_holds_every_genome_at_its_code(n_c: int) -> None:
+    bits = genome_bits(n_c)
+    assert bits.shape == (1 << n_c, n_c) and bits.dtype == np.uint8 and not bits.flags.writeable
+    assert np.array_equal(genome_codes(bits), np.arange(1 << n_c))
+    assert genome_bits(n_c) is bits
 
 
 def test_bitstring_round_trip() -> None:

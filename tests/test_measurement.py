@@ -327,10 +327,10 @@ def test_monte_carlo_sweep_scores_each_sample_once_up_front(monkeypatch, lockste
     real_fill, real_run_ga = ga_module.SearchMemo.fill, measurement.run_ga
     real_propagate, real_kld = ga_module.batch_site_distributions, ga_module.batch_kld
 
-    def fill(memo, limit, rows):
+    def fill(memo, rows):
         before = len(propagated), len(scored)
-        real_fill(memo, limit, rows)
-        fills.append((memo, propagated[before[0] :], scored[before[1] :], limit, rows))
+        real_fill(memo, rows)
+        fills.append((memo, propagated[before[0] :], scored[before[1] :], rows))
 
     monkeypatch.setattr(measurement, "LOCKSTEP_ROWS", lockstep_rows)
     monkeypatch.setattr(ga_module.SearchMemo, "fill", fill)
@@ -346,16 +346,44 @@ def test_monte_carlo_sweep_scores_each_sample_once_up_front(monkeypatch, lockste
     ga = GAConfig(n_p=40, n_g=12)
     monte_carlo_sweep(truth, psi0, grid, ga, noise)
     assert len(fills) == noise.mc_runs
-    for memo, propagate_calls, score_calls, limit, rows in fills:
+    for memo, propagate_calls, score_calls, rows in fills:
         evaluations = [result.evaluations for cache, result in results if cache is memo]
         assert len(evaluations) == noise.inner_runs * len(noise.thresholds)
         assert sum(evaluations) == evaluations[0] == memo.scored == 2**truth.n_c
         assert sum(propagate_calls) == sum(score_calls) == 2**truth.n_c
-        # No call takes more rows than breeding a lockstep group would pass.
-        assert (limit, rows) == (ga.n_p, lockstep_rows // ga.n_p * ga.n_p)
-        assert max(propagate_calls) == limit and max(score_calls) == min(rows, 2**truth.n_c)
+        # A slice holds the rows breeding a lockstep group would pass, and
+        # each slice is propagated in one call.
+        assert rows == lockstep_rows // ga.n_p * ga.n_p
+        assert propagate_calls == [min(rows, 2**truth.n_c - lo) for lo in range(0, 2**truth.n_c, rows)]
+        assert max(score_calls) == min(rows, 2**truth.n_c)
     # Breeding found every genome scored: nothing was propagated after the fills.
     assert sum(propagated) == sum(scored) == noise.mc_runs * 2**truth.n_c
+
+
+def test_monte_carlo_sweep_reads_results_off_without_rebuilding(monkeypatch) -> None:
+    # A read-off builds one GAConfig, the sweep's own per-threshold config,
+    # and no genome: its result holds the CouplingString of the record it
+    # reads, shared by every result read off that record.
+    truth, psi0, grid = sweep_args(5)
+    noise = NoiseConfig(n_r=500, thresholds=(2e-3, 1e-2, 5e-2), mc_runs=2, inner_runs=2, seed=4)
+    ga = GAConfig(n_p=40, n_g=12)
+    built, results = [], []
+    real_post_init, real_run_ga = GAConfig.__post_init__, measurement.run_ga
+    monkeypatch.setattr(GAConfig, "__post_init__", lambda self: built.append(1) or real_post_init(self))
+
+    def run_ga(target, psi0, grid, config, cache):
+        results.append((config, cache, real_run_ga(target, psi0, grid, config, cache=cache)))
+        return results[-1][2]
+
+    monkeypatch.setattr(measurement, "run_ga", run_ga)
+    monte_carlo_sweep(truth, psi0, grid, ga, noise)
+    searches = noise.mc_runs * noise.inner_runs
+    assert len(results) == searches * len(noise.thresholds)
+    assert len(built) == len(results) + searches
+    for config, memo, result in results:
+        _, _, record = ga_module._outcome(memo.runs[ga_module._search_key(config)], config)
+        assert result.best_chromosome is record.best
+    assert len({id(result.best_chromosome) for *_, result in results}) < len(results)
 
 
 def bred_generations(records: list, floor: float) -> int:
