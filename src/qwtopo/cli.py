@@ -137,6 +137,9 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    for section in ("experiment", "ga", "noise"):
+        if not isinstance(obj.get(section, {}), dict):
+            raise ConfigError(f"config file {path}: section {section!r} must be a JSON object")
     return obj
 
 

@@ -115,6 +115,8 @@ class ProbeState:
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size < 1:
             raise ShapeError(f"amplitudes must be a nonempty vector, got shape {amps.shape}")
+        if not np.isfinite(amps).all():
+            raise ValueError(f"amplitudes must be finite, got {amps.tolist()}")
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"amplitudes are not normalized: sum |a|^2 = {norm!r}")

@@ -163,8 +163,8 @@ def _breed(
     return children
 
 
-def _evaluate(bits: np.ndarray, *memos: SearchMemo) -> tuple[np.ndarray, int]:
-    """Score every row against its memo's objective; returns (scores, new evals).
+def _evaluate(bits: np.ndarray, *memos: SearchMemo) -> np.ndarray:
+    """Score every row against its memo's objective, counting each memo's new genomes in its ``scored``.
 
     ``bits`` stacks one equal block of rows per memo, and the memos are
     for one n, probe and times.  Scores are never negative, so -1.0 marks
@@ -181,7 +181,7 @@ def _evaluate(bits: np.ndarray, *memos: SearchMemo) -> tuple[np.ndarray, int]:
         scores = np.concatenate([memo.store[codes[a:b]] for memo, a, b in spans])
         missed = np.flatnonzero(scores < 0)
         if not missed.size:
-            return scores, 0
+            return scores
         # One key per (memo, genome): the memo's index above the code's n_c bits.
         keys = codes[missed] + (missed // block << n_c)
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -190,17 +190,18 @@ def _evaluate(bits: np.ndarray, *memos: SearchMemo) -> tuple[np.ndarray, int]:
         cuts = _cuts(new, block, len(memos))
         fresh = _divergences(bits[new], memos, cuts, block)
         for memo, lo, hi in zip(memos, cuts, cuts[1:]):
-            memo.write(codes[new[lo:hi]], fresh[lo:hi])
+            memo.store[codes[new[lo:hi]]] = fresh[lo:hi]
+            memo.scored += hi - lo
         by_key = np.empty(len(new))
         by_key[order] = fresh
         scores[missed] = by_key[inverse]
-        return scores, len(new)
+        return scores
     keys = np.ascontiguousarray(bits, dtype=np.uint8).view(f"V{n_c}").ravel().tolist()
     looked_up = (map(memo.store.get, keys[a:b], repeat(-1.0)) for memo, a, b in spans)
     scores = np.fromiter(chain.from_iterable(looked_up), dtype=float, count=len(keys))
     missed = np.flatnonzero(scores < 0)
     if not missed.size:
-        return scores, 0
+        return scores
     bounds = _cuts(missed, block, len(memos))
     missed_keys = [[keys[i] for i in missed[lo:hi].tolist()] for lo, hi in zip(bounds, bounds[1:])]
     new_keys = [list(dict.fromkeys(part)) for part in missed_keys]
@@ -209,9 +210,10 @@ def _evaluate(bits: np.ndarray, *memos: SearchMemo) -> tuple[np.ndarray, int]:
     fresh = _divergences(rows, memos, cuts, block).tolist()
     for memo, new, lo, hi in zip(memos, new_keys, cuts, cuts[1:]):
         memo.store.update(zip(new, fresh[lo:hi]))
+        memo.scored += hi - lo
     filled = (map(memo.store.__getitem__, part) for memo, part in zip(memos, missed_keys))
     scores[missed] = np.fromiter(chain.from_iterable(filled), dtype=float, count=missed.size)
-    return scores, len(rows)
+    return scores
 
 
 def _cuts(rows: np.ndarray, block: int, n_blocks: int) -> list[int]:
@@ -264,17 +266,14 @@ class SearchMemo:
     is a float64 table of 2**n_c entries, 8 KB at n=5 and 256 KB at n=6,
     indexed by the genome code sum(bit_j * 2**j) and holding -1.0 for a
     genome not scored yet; for longer genomes it is a dict from genome
-    bytes to score.  ``scored`` counts the genomes it holds.  Once a
-    table holds every genome's score, whether ``fill`` scored them up
-    front or searches met them all, ``floor`` is the lowest score; until
-    then, and always for a dict, it is None.  No search can score below
-    the floor, so ``record_searches`` stops breeding a search whose best
-    reaches it.  ``runs`` maps a config's settings other than the
-    threshold (``_search_key``) to the longest trajectory recorded for
-    them, one record per generation, and ``unreported`` to the genomes
-    its breeding newly scored that no result has reported yet.
-    ``filled`` counts the genomes ``fill`` scored that no result has
-    reported yet.
+    bytes to score.  ``scored`` counts the genomes it holds, and
+    ``reported`` how many of them results have reported (``run_ga``).
+    Once ``fill`` has scored a table's every genome, ``floor`` is the
+    lowest score; until then, and always for a dict, it is None.  No
+    search can score below the floor, so ``record_searches`` stops
+    breeding a search whose best reaches it.  ``runs`` maps a config's
+    settings other than the threshold (``_search_key``) to the longest
+    trajectory recorded for them, one record per generation.
     """
 
     def __init__(self, target: ConcatenatedDistribution, psi0: ProbeState, grid: TimeGrid, metric: Metric) -> None:
@@ -288,45 +287,29 @@ class SearchMemo:
         self.n, self.target, self.psi0, self.grid, self.metric = n, target, psi0, grid, metric
         n_c = n * (n - 1) // 2
         self.store: np.ndarray | dict[bytes, float] = np.full(1 << n_c, -1.0) if n_c <= TABLE_GENES else {}
-        self._unscored = 1 << n_c
+        self.scored = self.reported = 0
         self.floor: float | None = None
         self.runs: dict[tuple, list[_Record]] = {}
-        self.unreported: dict[tuple, int] = {}
-        self.filled = 0
-
-    @property
-    def scored(self) -> int:
-        """How many distinct genomes the memo holds a score for."""
-        if isinstance(self.store, dict):
-            return len(self.store)
-        return self.store.size - self._unscored
-
-    def write(self, codes: np.ndarray, scores: np.ndarray) -> None:
-        """Store the scores of genomes new to a table; the last one missing sets the floor."""
-        self.store[codes] = scores
-        self._unscored -= len(codes)
-        if self.floor is None and not self._unscored:
-            self.floor = float(self.store.min())
 
     def fill(self, rows: int) -> None:
         """Score every genome a table does not hold yet, in slices of ``rows`` genomes, one propagation call each.
 
         The genomes go through ``_divergences`` in ascending code, their
-        bits taken from the table of every genome (``graph.genome_bits``);
-        ``filled`` counts them.  A slice of a lockstep generation's rows
-        propagates in one call, so a cold fill's memory peak is that of
-        propagating those rows at once, above breeding's one population
-        per call.  A dict memo's genome space is too large to score up
-        front, so it is left as it is.
+        bits taken from ``graph.genome_bits``, and count in ``scored``;
+        the lowest score is then the ``floor``.  Propagating a lockstep
+        generation's rows in one call puts a cold fill's memory peak
+        above breeding's, one population per call.  A dict memo's genome
+        space is too large to score up front, so it is left as it is.
         """
-        if isinstance(self.store, dict) or not self._unscored:
+        if isinstance(self.store, dict):
             return
         codes = np.flatnonzero(self.store < 0)
         every = genome_bits(self.n * (self.n - 1) // 2)
         for lo in range(0, len(codes), rows):
             part = codes[lo : lo + rows]
-            self.write(part, _divergences(every[part], (self,), [0, len(part)], rows))
-        self.filled += len(codes)
+            self.store[part] = _divergences(every[part], (self,), [0, len(part)], rows)
+        self.scored += len(codes)
+        self.floor = float(self.store.min())
 
     def serves(self, target: ConcatenatedDistribution, psi0: ProbeState, grid: TimeGrid, metric: Metric) -> bool:
         """Whether the objective is this memo's, comparing the target and probe by value.
@@ -356,8 +339,9 @@ def run_ga(
     negative), otherwise clone the hall of fame and breed the rest.
     Returns the best individual ever seen, the ``CouplingString`` its
     record holds, so results read off one record share it;
-    ``evaluations`` counts the distinct genomes scored that were not in
-    the memo yet.
+    ``evaluations`` counts the genomes the memo newly scored since the
+    last result read off it; with a fresh memo, the distinct genomes the
+    search scored.
 
     ``cache`` is the memo, a fresh one by default; a memo made for
     another target, probe, times or metric raises ConfigError (target
@@ -367,10 +351,7 @@ def run_ga(
     which the memo records.  A search whose outcome the records decide
     is read off them by bisection (``_outcome``), in time logarithmic in
     the generations recorded; any other runs from generation 0
-    again, re-breeding the recorded prefix from memoised scores.  The
-    first result read off a trajectory reports the genomes its breeding
-    scored, and later ones report 0; the first result read off a memo
-    also reports the genomes ``SearchMemo.fill`` scored.
+    again, re-breeding the recorded prefix from memoised scores.
     """
     if cache is None:
         cache = SearchMemo(target, psi0, grid, config.metric)
@@ -381,8 +362,7 @@ def run_ga(
         record_searches([cache], [config])
         outcome = _outcome(cache.runs[search], config)
     gen, reason, record = outcome
-    evaluations = cache.unreported.pop(search, 0) + cache.filled
-    cache.filled = 0
+    evaluations, cache.reported = cache.scored - cache.reported, cache.scored
     return RunResult(record.best, record.best_score, gen, reason, evaluations)
 
 
@@ -395,14 +375,13 @@ def record_searches(memos: list[SearchMemo], configs: list[GAConfig]) -> None:
     halts by its own threshold, so its records do not depend on the
     searches bred beside it.  Each generation scores all live searches'
     rows in one ``_evaluate`` call and breeds them in one ``_breed``
-    pass.  A search that does not halt settles once its memo holds every
-    genome's score and its best-so-far equals the memo's floor: no later
+    pass.  A search that does not halt settles once its best-so-far
+    equals the floor that ``SearchMemo.fill`` set on its memo: no later
     generation scores below the floor, and a tie keeps the best genome,
     so its outcome under any threshold is fixed.  It leaves the live set,
     and its records are padded to n_g with copies of the settling record.
     Memo i ends up mapping configs[i]'s settings other than the threshold
-    (``_search_key``) to the records and to the count of genomes this
-    breeding scored.
+    (``_search_key``) to the records.
     """
     config, first = configs[0], memos[0]
     keys = [_search_key(c) for c in configs]
@@ -419,7 +398,6 @@ def record_searches(memos: list[SearchMemo], configs: list[GAConfig]) -> None:
     n_p = config.resolved_n_p(n_c)
     e = config.elite_count(n_p)
     rngs = [np.random.default_rng(c.seed) for c in configs]
-    scored = [memo.scored for memo in memos]
     trajectories: list[list[_Record]] = [[] for _ in memos]
     live = list(range(len(memos)))
     bits = np.concatenate([rng.integers(0, 2, size=(n_p, n_c), dtype=np.uint8) for rng in rngs])
@@ -430,7 +408,7 @@ def record_searches(memos: list[SearchMemo], configs: list[GAConfig]) -> None:
             children = _breed(bits, scores, n_p - e, config, *(rngs[i] for i in live))
             elites = bits[ranked.ravel()].reshape(len(live), e, n_c)
             bits = np.concatenate([elites, children.reshape(len(live), -1, n_c)], axis=1).reshape(-1, n_c)
-        scores, _ = _evaluate(bits, *(memos[i] for i in live))
+        scores = _evaluate(bits, *(memos[i] for i in live))
         leaders = np.argmin(scores.reshape(-1, n_p), axis=1) + offsets[:, 0]
         currents, leading = scores[leaders].tolist(), bits[leaders]
         going = []
@@ -453,9 +431,8 @@ def record_searches(memos: list[SearchMemo], configs: list[GAConfig]) -> None:
             live = [live[j] for j in going]
             bits = bits.reshape(-1, n_p, n_c)[going].reshape(-1, n_c)
             scores = scores.reshape(-1, n_p)[going].ravel()
-    for memo, key, records, before in zip(memos, keys, trajectories, scored):
+    for memo, key, records in zip(memos, keys, trajectories):
         memo.runs[key] = records
-        memo.unreported[key] = memo.unreported.get(key, 0) + memo.scored - before
 
 
 def _halt(record: _Record, threshold: float | None) -> HaltReason | None:

@@ -315,10 +315,18 @@ def emit_report(
     return target
 
 
-def _sweep_report(config: dict, rows: list[dict]) -> SweepReport:
-    noise = config["noise"]
+def _json_object(value, what: str) -> dict:
+    """The value, if it is a JSON object; else ConfigError naming ``what``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} is a JSON object, not a {type(value).__name__}")
+    return value
+
+
+def _sweep_report(config: dict, rows: list) -> SweepReport:
+    noise = _json_object(config["noise"], "a sweep config's noise")
     tallies = {}
     for row in rows:
+        row = _json_object(row, "a sweep row")
         tally = Counter({o: row[o.value] for o in Outcome})
         if tally.total() != row["total"]:
             raise ConfigError(f"sweep row {row}: total does not equal the sum of its counts")
@@ -336,20 +344,19 @@ def _sweep_report(config: dict, rows: list[dict]) -> SweepReport:
 def report_from_json(text: str) -> BenchmarkReport | SweepReport:
     """Rebuild a report from its JSON serialization.
 
-    Raises ConfigError for a top level that is not a JSON object, a
-    report without its ``config`` or ``results``, a benchmark entry
-    without its ``topology``, ``n``, ``n_p`` or ``runs``, a sweep config
-    or row missing a field, a sweep row whose total is not the sum of
-    its counts, a threshold with more than one sweep row, a row whose
-    N_r is not the config's, sweep rows whose thresholds are not the
-    config's in order (none when the config draws no sample), or a run
-    row whose keys are not RunRecord's fields.
+    Raises ConfigError for a report, ``config``, sweep ``noise``,
+    benchmark entry or sweep row that is not a JSON object, ``results``
+    that are not a list, a missing field, a sweep row whose total is not
+    the sum of its counts, a threshold with more than one sweep row, a
+    row whose N_r is not the config's, sweep rows whose thresholds are
+    not the config's in order (none when the config draws no sample),
+    or a run row whose keys are not RunRecord's fields.
     """
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ConfigError(f"a report is a JSON object, not a {type(obj).__name__}")
+    obj = _json_object(json.loads(text), "a report")
     try:
-        config, results = obj["config"], obj["results"]
+        config, results = _json_object(obj["config"], "a report's config"), obj["results"]
+        if not isinstance(results, list):
+            raise ConfigError(f"a report's results are a JSON list, not a {type(results).__name__}")
         if config.get("protocol") == "sweep":
             return _sweep_report(config, results)
         entries = tuple(_benchmark_entry(res) for res in results)
@@ -358,7 +365,8 @@ def report_from_json(text: str) -> BenchmarkReport | SweepReport:
     return BenchmarkReport(config=config, entries=entries)
 
 
-def _benchmark_entry(res: dict) -> BenchmarkEntry:
+def _benchmark_entry(res) -> BenchmarkEntry:
+    res = _json_object(res, "a benchmark entry")
     try:
         records = tuple(RunRecord(**r) for r in res["runs"])
     except TypeError as exc:

@@ -137,8 +137,7 @@ def monte_carlo_sweep(
     scored at most once per target (and, up to n = 6, propagated at most
     once per process, see ``ctqw.batch_site_distributions``).  Up to
     n = 6 the memo scores every genome before any search
-    (``SearchMemo.fill``), and the first result read off it reports them
-    all in ``evaluations``.  Consecutive samples are taken in groups of
+    (``SearchMemo.fill``).  Consecutive samples are taken in groups of
     at most LOCKSTEP_ROWS population rows: for each inner index in turn,
     the group's searches are bred together to the lowest threshold, and
     every threshold's outcome is then read off the recorded
@@ -147,8 +146,10 @@ def monte_carlo_sweep(
     and its records past that generation repeat the settling one.  Each
     search's seed is derived once and serves its breeding and all its
     read-offs, which go sample by sample, threshold by threshold, inner
-    run by inner run.  The sweep sets every search's seed and threshold:
-    the seed of ``ga`` is unused, a threshold rejected.
+    run by inner run, so only the first read off a sample's memo reports
+    ``evaluations``: every genome the fill and breeding scored for it.
+    The sweep sets every search's seed and threshold: the seed of ``ga``
+    is unused, a threshold rejected.
     """
     if ga.threshold is not None:
         raise ConfigError("a sweep sets the halt thresholds itself; drop the GA threshold")

@@ -373,6 +373,9 @@ def test_sweep_seed_is_the_noise_seed(capsys, tmp_path: Path) -> None:
         ("reconstruct", {"ga": {"n_g": 2.5}}),
         ("simulate", {"experiment": {"times": [True, 2]}}),
         ("sweep", {"noise": {"thresholds": [True]}}),
+        ("reconstruct", {"ga": 5}),
+        ("simulate", {"experiment": [1]}),
+        ("sweep", {"noise": "x"}),
     ],
 )
 def test_config_file_value_of_wrong_type_exits_one(capsys, tmp_path: Path, command: str, cfg: dict) -> None:
@@ -381,6 +384,10 @@ def test_config_file_value_of_wrong_type_exits_one(capsys, tmp_path: Path, comma
     code, _, err = run_cli(capsys, command, "--topology", "star", "--n", "3", "--config", str(cfg_file))
     assert code == 1
     assert err.startswith("error:"), err
+    # A section that is not an object is named in the error.
+    for section, value in cfg.items():
+        if not isinstance(value, dict):
+            assert f"section {section!r}" in err, err
 
 
 @pytest.mark.parametrize("times", ["nan", "0.5,nan", "0.5,inf"])

@@ -51,6 +51,13 @@ def test_probe_state_requires_normalization() -> None:
         ProbeState(np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("amplitudes", [[np.nan, 1.0], [1.0, np.nan], [complex(0, np.nan), 1.0], [np.inf, 0.0]])
+def test_probe_state_rejects_non_finite_amplitudes(amplitudes) -> None:
+    # abs(nan - 1) > tol is False, so a NaN passes a bare normalization test.
+    with pytest.raises(ValueError, match="finite"):
+        ProbeState(np.array(amplitudes))
+
+
 def test_probe_state_copies_and_leaves_the_caller_array_writable() -> None:
     amps = np.array([1 + 0j, 0j])
     probe = ProbeState(amps)

@@ -375,11 +375,11 @@ def noisy_searches(n: int, count: int, metric: Metric):
 
 
 def recorded(memo: SearchMemo):
-    """The one search a memo recorded, with its records and unreported count, and its scores."""
+    """The one search a memo recorded, with its records, the genomes it scored, and its scores."""
     [(search, records)] = memo.runs.items()
     trace = [(r.current, r.best_score, r.best.bits.tobytes()) for r in records]
     store = memo.store.tolist() if isinstance(memo.store, np.ndarray) else memo.store
-    return search, trace, memo.unreported[search], store
+    return search, trace, memo.scored, store
 
 
 # (n, n_p, n_g): n=2 has one gene and draws no split point; n=2, 3 and 5
@@ -590,7 +590,7 @@ def test_memo_store_is_a_table_up_to_n6_and_a_dict_above() -> None:
     # Only a table is scored up front; n=7's 2**21 genomes are left to the searches.
     dict_memo = star_memo(7)
     dict_memo.fill(10)
-    assert dict_memo.store == {} and dict_memo.floor is None and dict_memo.filled == 0
+    assert dict_memo.store == {} and dict_memo.floor is None and dict_memo.scored == 0
 
 
 # n=2 and n=4 have genomes shorter than a byte (n_c = 1 and 6); n=6 and
@@ -606,8 +606,8 @@ def test_evaluate_propagates_each_distinct_genome_once(monkeypatch, n: int) -> N
     bits = genomes[order]
     calls = record_propagation(monkeypatch)
     memo = star_memo(n)
-    scores, fresh = _evaluate(bits, memo)
-    assert fresh == memo.scored == len(genomes)
+    scores = _evaluate(bits, memo)
+    assert memo.scored == len(genomes)
     assert len(calls) == 1
     # in order of first appearance
     assert np.array_equal(calls[0], genomes[list(dict.fromkeys(order))])
@@ -624,17 +624,18 @@ def test_evaluate_serves_repeats_from_the_memo(monkeypatch, n: int) -> None:
         bits = np.random.default_rng(8).integers(0, 2, size=(50, n * (n - 1) // 2), dtype=np.uint8)
         bits[10:20] = bits[:10]  # repeats inside the population
     memo = star_memo(n)
-    first, fresh = _evaluate(bits, memo)
-    assert fresh == len(np.unique(bits, axis=0)) == memo.scored
+    first = _evaluate(bits, memo)
+    scored = memo.scored
+    assert scored == len(np.unique(bits, axis=0))
     calls = record_propagation(monkeypatch)
-    again, fresh = _evaluate(bits[::-1], memo)
-    assert fresh == 0 and calls == []
+    again = _evaluate(bits[::-1], memo)
+    assert memo.scored - scored == 0 and calls == []
     assert np.array_equal(again, first[::-1])
     # a population mixing memo hits with one new genome propagates only that genome
     new = 1 - bits[0]
     assert new.tobytes() not in {row.tobytes() for row in bits}
-    scores, fresh = _evaluate(np.vstack([bits[:3], new, bits[3:6]]), memo)
-    assert fresh == 1 and memo.scored == len(np.unique(bits, axis=0)) + 1
+    scores = _evaluate(np.vstack([bits[:3], new, bits[3:6]]), memo)
+    assert memo.scored - scored == 1
     assert len(calls) == 1 and np.array_equal(calls[0], new[None, :])
     assert np.array_equal(np.delete(scores, 3), first[:6])
 
@@ -644,7 +645,7 @@ def test_evaluate_serves_repeats_from_the_memo(monkeypatch, n: int) -> None:
 def test_evaluate_scores_equal_direct_divergence(metric, divergence, n: int) -> None:
     _, psi0, grid, target = star_problem(n)
     bits = np.random.default_rng(4).integers(0, 2, size=(60, n * (n - 1) // 2), dtype=np.uint8)
-    scores, _ = _evaluate(bits, star_memo(n, metric))
+    scores = _evaluate(bits, star_memo(n, metric))
     models = batch_site_distributions(bits, n, psi0.amplitudes, grid.times)
     assert np.array_equal(scores, divergence(models.reshape(len(bits), -1), target.flat))
 
@@ -657,8 +658,8 @@ def test_evaluate_keys_every_gene_at_n12(monkeypatch) -> None:
     bits = np.concatenate([star, other, star, other])
     calls = record_propagation(monkeypatch)
     memo = star_memo(n)
-    scores, fresh = _evaluate(bits, memo)
-    assert fresh == 2 and memo.scored == 2
+    scores = _evaluate(bits, memo)
+    assert memo.scored == 2
     assert np.array_equal(calls[0], np.concatenate([star, other]))
     assert scores[0] == scores[2] == 0.0
     assert scores[1] == scores[3] > 0.0
@@ -720,24 +721,6 @@ def test_a_settled_search_reads_as_the_search_bred_to_the_end(n, n_p, metric, br
         assert (read_off.halted_by is HaltReason.MAX_GENERATIONS) == (threshold <= floor)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("metric", list(Metric))
-def test_a_memo_its_searches_fill_settles_them_with_the_same_evaluations(monkeypatch, n, metric) -> None:
-    target, psi0, grid, memo, lazy = noisy_problem(n, metric)
-    config = GAConfig(n_g=40, p_m=0.2, metric=metric, seed=1)
-    calls = []
-    real_evaluate = ga._evaluate
-    monkeypatch.setattr(ga, "_evaluate", lambda *a: calls.append(len(a) - 1) or real_evaluate(*a))
-    settled = run_ga(target, psi0, grid, config, cache=memo)
-    bred = len(calls)
-    assert run_ga(target, psi0, grid, config, cache=lazy) == settled
-    assert len(calls) == bred + config.n_g
-    # Searching filled the memo, which then knew its floor and stopped breeding.
-    assert memo.floor == memo.store.min() and memo.scored == lazy.scored == 2 ** (n * (n - 1) // 2)
-    assert bred < config.n_g and settled.halted_by is HaltReason.MAX_GENERATIONS
-    assert settled.best_score == memo.floor and settled.evaluations == memo.scored
-
-
 def test_a_search_its_threshold_halts_is_never_padded() -> None:
     target, psi0, grid, filled, _ = noisy_problem(5, Metric.KLD)
     filled.fill(240)
@@ -759,8 +742,10 @@ def test_a_search_its_threshold_halts_is_never_padded() -> None:
 
 def test_a_tie_keeps_the_best_genome_found_first() -> None:
     # Settling relies on it: a search whose best equals the floor keeps that genome.
+    # Every genome scores the same, and with no floor the search breeds all
+    # n_g generations, each tying the best.
     *_, memo = noisy_problem(4, Metric.KLD)
-    memo.write(np.arange(64), np.full(64, 0.5))
+    memo.store[:] = 0.5
     record_searches([memo], [GAConfig(n_p=8, n_g=10, seed=2)])
     [records] = memo.runs.values()
     assert len(records) == 10 and {r.current for r in records} == {0.5}

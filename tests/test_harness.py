@@ -286,6 +286,30 @@ def test_json_report_must_be_an_object() -> None:
         report_from_json(json.dumps([golden_benchmark()]))
 
 
+@pytest.mark.parametrize(
+    "report, path, value, match",
+    [
+        ("benchmark", ("config",), [1], "config is a JSON object"),
+        ("sweep", ("config",), "sweep", "config is a JSON object"),
+        ("benchmark", ("results",), 5, "results are a JSON list"),
+        ("sweep", ("results",), {"threshold": 0.01}, "results are a JSON list"),
+        ("sweep", ("results", 2), 7, "sweep row is a JSON object"),
+        ("sweep", ("results", 2), ["tp", 1], "sweep row is a JSON object"),
+        ("sweep", ("config", "noise"), 500, "noise is a JSON object"),
+        ("benchmark", ("results", 1), "star", "benchmark entry is a JSON object"),
+    ],
+    ids=lambda v: "/".join(map(str, v)) if isinstance(v, tuple) else None,
+)
+def test_json_report_part_of_the_wrong_shape_is_rejected(report: str, path: tuple, value, match: str) -> None:
+    obj = golden_sweep() if report == "sweep" else golden_benchmark()
+    holder = obj
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    with pytest.raises(ConfigError, match=match):
+        report_from_json(json.dumps(obj))
+
+
 @pytest.mark.parametrize("edit", ["missing", "unknown"])
 def test_benchmark_json_run_row_must_match_run_record(edit: str) -> None:
     report = benchmark_noiseless(small_spec(runs=2))

@@ -200,8 +200,8 @@ def test_outcome_tally_records_and_totals() -> None:
     assert tally.total() == 3
 
 
-def sweep_args(n: int = 3):
-    truth = build_topology(TopologySpec(TopologyKind.STAR), n)
+def sweep_args(n: int = 3, kind: TopologyKind = TopologyKind.STAR):
+    truth = build_topology(TopologySpec(kind), n)
     psi0 = ProbeState.ramp(n)
     grid = TimeGrid((0.5, 0.6))
     return truth, psi0, grid
@@ -288,6 +288,17 @@ def test_monte_carlo_sweep_matches_independent_runs() -> None:
 
 
 def test_monte_carlo_sweep_breeds_each_search_once(monkeypatch) -> None:
+    # star n = 5 fills a table memo, whose searches settle at its floor.
+    check_each_search_bred_once(monkeypatch, TopologyKind.STAR, 5)
+
+
+def test_monte_carlo_sweep_breeds_each_dict_memo_search_once(monkeypatch) -> None:
+    # line n = 7 keeps a dict memo, with no floor: its searches breed until
+    # they halt, and the first result read off it reports all of them.
+    check_each_search_bred_once(monkeypatch, TopologyKind.LINE, 7)
+
+
+def check_each_search_bred_once(monkeypatch, kind: TopologyKind, n: int) -> None:
     # Thresholds are walked from the lowest, so each (sample, inner run)
     # search is bred once, beside the other samples' searches of its inner
     # index, and every threshold's outcome is read off the recorded
@@ -300,8 +311,10 @@ def test_monte_carlo_sweep_breeds_each_search_once(monkeypatch) -> None:
     monkeypatch.setattr(
         ga_module, "batch_site_distributions", lambda b, *a: propagated.append(len(b)) or real_propagate(b, *a)
     )
-    monkeypatch.setattr(measurement, "run_ga", lambda *a, **k: results.append(real_run_ga(*a, **k)) or results[-1])
-    truth, psi0, grid = sweep_args(5)
+    monkeypatch.setattr(
+        measurement, "run_ga", lambda *a, **k: results.append((k["cache"], real_run_ga(*a, **k))) or results[-1][1]
+    )
+    truth, psi0, grid = sweep_args(n, kind)
     noise = NoiseConfig(n_r=500, thresholds=(2e-3, 1e-2, 5e-2), mc_runs=2, inner_runs=3, seed=4)
     ga = GAConfig(n_p=40, n_g=12)
     tallies = monte_carlo_sweep(truth, psi0, grid, ga, noise)
@@ -309,13 +322,20 @@ def test_monte_carlo_sweep_breeds_each_search_once(monkeypatch) -> None:
     assert sum(len(memo.runs) for memo in memos) == noise.mc_runs * noise.inner_runs
     # Every bred generation's population is scored once.  A search is bred
     # up to and including its settling record, the first whose best is the
-    # memo's floor; the records after it repeat it.
+    # memo's floor; the records after it repeat it.  A dict memo has no
+    # floor, so nothing settles.
     bred = [bred_generations(records, memo.floor) for memo in memos for records in memo.runs.values()]
     assert sum(rows) == ga.n_p * sum(bred)
-    assert sum(bred) < sum(len(records) for memo in memos for records in memo.runs.values())
-    # Every genome is propagated once, and reported by one result.
+    if memos[0].floor is not None:
+        assert sum(bred) < sum(len(records) for memo in memos for records in memo.runs.values())
+    # Every genome is propagated once, and reported by one result: the
+    # first read off its sample's memo, after all the sample's searches.
     assert len(results) == noise.mc_runs * noise.inner_runs * len(noise.thresholds)
-    assert sum(r.evaluations for r in results) == sum(propagated) == sum(memo.scored for memo in memos)
+    evaluations = [result.evaluations for _, result in results]
+    assert sum(evaluations) == sum(propagated) == sum(memo.scored for memo in memos)
+    for memo in memos:
+        mine = [result.evaluations for cache, result in results if cache is memo]
+        assert mine[0] == memo.scored > 0 and not any(mine[1:])
     assert len({tuple(sorted(tally.items(), key=str)) for tally in tallies.values()}) > 1
 
 
