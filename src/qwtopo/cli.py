@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from numbers import Real
 from pathlib import Path
 
@@ -57,6 +58,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 _GA_DEFAULT = GAConfig()
 _NOISE_DEFAULT = NoiseConfig()
+# The keys a config file's sections may hold; a subcommand reads some of
+# them and ignores the rest (see README's table).
+_CONFIG_KEYS = {
+    "experiment": {"topology", "n", "times", "probe", "runs", "output", "format", "target"},
+    "ga": {f.name for f in fields(GAConfig)},
+    "noise": {f.name for f in fields(NoiseConfig)},
+}
 
 
 def _add_ga(parser: argparse.ArgumentParser, halt_and_seed: bool = True) -> None:
@@ -137,9 +145,13 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    for section in ("experiment", "ga", "noise"):
-        if not isinstance(obj.get(section, {}), dict):
+    if unknown := sorted(obj.keys() - _CONFIG_KEYS.keys()):
+        raise ConfigError(f"config file {path}: unknown section {', '.join(map(repr, unknown))}")
+    for section, keys in _CONFIG_KEYS.items():
+        if not isinstance(values := obj.get(section, {}), dict):
             raise ConfigError(f"config file {path}: section {section!r} must be a JSON object")
+        if unknown := sorted(values.keys() - keys):
+            raise ConfigError(f"config file {path}: unknown key {', '.join(map(repr, unknown))} in section {section!r}")
     return obj
 
 

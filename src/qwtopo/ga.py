@@ -390,7 +390,7 @@ def record_searches(memos: list[SearchMemo], configs: list[GAConfig]) -> None:
     if len({id(memo) for memo in memos}) < len(memos) or not all(
         memo.metric is config.metric
         and memo.grid.times == first.grid.times
-        and np.array_equal(memo.psi0.amplitudes, first.psi0.amplitudes)
+        and (memo.psi0 is first.psi0 or np.array_equal(memo.psi0.amplitudes, first.psi0.amplitudes))
         for memo in memos
     ):
         raise ConfigError("searches bred together need distinct memos for one probe, times and metric")
@@ -451,13 +451,14 @@ def _outcome(records: list[_Record], config: GAConfig) -> tuple[int, HaltReason,
     b = max(threshold, ZERO_TOL), a threshold of None counting as 0.
     ``best_score`` is the running minimum of ``current``, so that is
     also the first generation whose ``best_score`` is below b, and
-    ``best_score`` never rises: bisection finds it.  The key is a bool,
-    not a negated score, so that the search makes no float objects
-    (those raised the star-trend benchmark's peak RSS by ~5 MB).
+    ``best_score`` never rises: bisection finds it, once the last record
+    shows that some generation halts.  The key is a bool, not a negated
+    score, so that the search makes no float objects (those raised the
+    star-trend benchmark's peak RSS by ~5 MB).
     """
     bound = max(config.threshold or 0.0, ZERO_TOL)
-    gen = bisect_left(records, True, key=lambda record: record.best_score < bound)
-    if gen < len(records):
+    if records and records[-1].best_score < bound:
+        gen = bisect_left(records, True, key=lambda record: record.best_score < bound)
         return gen, _halt(records[gen], config.threshold), records[gen]
     if len(records) < config.n_g:
         return None

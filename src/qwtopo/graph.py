@@ -53,7 +53,8 @@ def genome_bits(n_c: int) -> np.ndarray:
 
 def check_couplings(bits: np.ndarray) -> None:
     """Raise TopologyError unless every coupling is 0 or 1."""
-    if not ((bits == 0) | (bits == 1)).all():
+    # A bool or unsigned array holds nothing below 0, so its maximum decides.
+    if not (bits.max(initial=0) <= 1 if bits.dtype.kind in "bu" else ((bits == 0) | (bits == 1)).all()):
         raise TopologyError("couplings must be 0 or 1")
 
 

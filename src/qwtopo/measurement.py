@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -155,6 +155,9 @@ def monte_carlo_sweep(
         raise ConfigError("a sweep sets the halt thresholds itself; drop the GA threshold")
     ideal = concatenated_distribution(truth, psi0, grid)
     tallies = {t: Counter() for t in noise.thresholds}
+    # Every breeding and read-off config is built by the constructor from
+    # these settings, in keywords, which costs less than a ``replace``.
+    settings = {f.name: getattr(ga, f.name) for f in fields(ga) if f.name not in ("threshold", "seed")}
     n_p = ga.resolved_n_p(truth.n_c)
     group = max(1, LOCKSTEP_ROWS // n_p)
     for start in range(0, noise.mc_runs, group):
@@ -171,10 +174,13 @@ def monte_carlo_sweep(
         # seeds[j][inner]: the seed of sample j's search ``inner``.
         seeds = [[derive_seed(noise.seed, 1, mc, inner) for inner in range(noise.inner_runs)] for mc in samples]
         for inner in range(noise.inner_runs):
-            record_searches(memos, [replace(ga, threshold=noise.thresholds[0], seed=row[inner]) for row in seeds])
+            configs = [GAConfig(**settings, threshold=noise.thresholds[0], seed=row[inner]) for row in seeds]
+            record_searches(memos, configs)
         for target, memo, row in zip(targets, memos, seeds):
             for threshold in noise.thresholds:
+                tally = tallies[threshold]
                 for seed in row:
-                    result = run_ga(target, psi0, grid, replace(ga, threshold=threshold, seed=seed), cache=memo)
-                    tallies[threshold][classify_outcome(result, truth)] += 1
+                    config = GAConfig(**settings, threshold=threshold, seed=seed)
+                    result = run_ga(target, psi0, grid, config, cache=memo)
+                    tally[classify_outcome(result, truth)] += 1
     return tallies if noise.mc_runs else {}

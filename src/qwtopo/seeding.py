@@ -13,9 +13,19 @@ def derive_seed(*parts: int) -> int:
 
     Built on numpy's SeedSequence so distinct part tuples give
     statistically independent streams, stably across platforms and
-    process restarts.
+    process restarts.  SeedSequence reads a list of ints as the 32-bit
+    words of each, lowest first (one word for 0); those words are
+    passed as one uint32 array, which it takes as they are and reads
+    about 3x faster than the list.
     """
-    return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
+    words = []
+    for part in parts:
+        if part < 0:
+            raise ValueError(f"seed parts must be >= 0, got {part}")
+        words.append(part & 0xFFFFFFFF)
+        while part := part >> 32:
+            words.append(part & 0xFFFFFFFF)
+    return int(np.random.SeedSequence(np.array(words, dtype=np.uint32)).generate_state(1, np.uint64)[0])
 
 
 def label_code(label: str) -> int:

@@ -390,6 +390,22 @@ def test_config_file_value_of_wrong_type_exits_one(capsys, tmp_path: Path, comma
             assert f"section {section!r}" in err, err
 
 
+@pytest.mark.parametrize(
+    "cfg, named",
+    [
+        ({"ga": {"np": 7}}, "unknown key 'np' in section 'ga'"),
+        ({"GA": {"n_g": 1}}, "unknown section 'GA'"),
+        ({"experiment": {"topolgy": "line"}}, "unknown key 'topolgy' in section 'experiment'"),
+    ],
+)
+def test_config_file_unknown_section_or_key_exits_one(capsys, tmp_path: Path, cfg: dict, named: str) -> None:
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "reconstruct", "--topology", "star", "--n", "3", "--config", str(cfg_file))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and named in err, err
+
+
 @pytest.mark.parametrize("times", ["nan", "0.5,nan", "0.5,inf"])
 def test_simulate_rejects_non_finite_times(capsys, times: str) -> None:
     code, out, err = run_cli(capsys, "simulate", "--topology", "star", "--n", "3", "--times", times)

@@ -426,7 +426,18 @@ def test_searches_bred_together_need_matching_configs_and_distinct_memos() -> No
     _, [other], _, _ = noisy_searches(4, 1, Metric.KLD)
     with pytest.raises(ConfigError, match="distinct memos"):
         record_searches([memos[0], other], [GAConfig(n_p=8, n_g=2, seed=s) for s in range(2)])
+    # One n, but another probe or other times.
+    target, psi0, grid = memos[1].target, memos[1].psi0, memos[1].grid
+    configs = [GAConfig(n_p=8, n_g=2, seed=s) for s in range(2)]
+    for probe, times in [(ProbeState.uniform(3), grid), (psi0, TimeGrid((0.5, 0.7)))]:
+        with pytest.raises(ConfigError, match="distinct memos"):
+            record_searches([memos[0], SearchMemo(target, probe, times, Metric.KLD)], configs)
     assert memos[0].runs == memos[1].runs == other.runs == {}
+    # An equal probe need not be the same object.
+    twin = ProbeState(psi0.amplitudes.copy())
+    assert twin is not psi0 and twin == psi0
+    record_searches([memos[0], SearchMemo(target, twin, grid, Metric.KLD)], configs)
+    assert len(memos[0].runs) == 1
 
 
 def test_a_search_key_holds_every_setting_but_the_threshold() -> None:

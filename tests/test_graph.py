@@ -13,6 +13,7 @@ from qwtopo.graph import (
     TopologyKind,
     TopologySpec,
     build_topology,
+    check_couplings,
     coupling_index,
     genome_bits,
     genome_codes,
@@ -74,6 +75,17 @@ def test_coupling_string_validates_binary() -> None:
 def test_coupling_string_rejects_every_value_but_0_and_1(bad) -> None:
     with pytest.raises(TopologyError, match="couplings must be 0 or 1"):
         CouplingString(np.array([1.0, bad, 0.0]), 3)
+
+
+@pytest.mark.parametrize("dtype, bad", [(np.uint8, 2), (np.uint8, 255), (np.uint16, 256), (np.bool_, None)])
+def test_unsigned_couplings_are_checked_by_their_maximum(dtype, bad) -> None:
+    # Bool and unsigned bits take a one-reduction check; it accepts 0 and 1
+    # (and an empty genome) and refuses anything above 1.
+    check_couplings(np.zeros(0, dtype=dtype))
+    check_couplings(np.array([[0, 1], [1, 1]], dtype=dtype))
+    if bad is not None:
+        with pytest.raises(TopologyError, match="couplings must be 0 or 1"):
+            check_couplings(np.array([[0, 1], [bad, 0]], dtype=dtype))
 
 
 def test_coupling_string_accepts_bool_and_float_bits() -> None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from qwtopo.ctqw import ConcatenatedDistribution, ProbeState, TimeGrid, concaten
 import qwtopo.ga as ga_module
 from qwtopo import measurement
 from qwtopo.errors import ConfigError
+from qwtopo.fitness import Metric
 from qwtopo.ga import GAConfig, HaltReason, RunResult, run_ga
 from qwtopo.graph import CouplingString, TopologyKind, TopologySpec, build_topology
 from qwtopo.measurement import (
@@ -404,6 +405,33 @@ def test_monte_carlo_sweep_reads_results_off_without_rebuilding(monkeypatch) -> 
         _, _, record = ga_module._outcome(memo.runs[ga_module._search_key(config)], config)
         assert result.best_chromosome is record.best
     assert len({id(result.best_chromosome) for *_, result in results}) < len(results)
+
+
+def test_monte_carlo_sweep_configs_keep_every_setting(monkeypatch) -> None:
+    # Every breeding and read-off config is the sweep's GAConfig with only
+    # its threshold and seed set, whatever the other fields hold.
+    truth, psi0, grid = sweep_args(4)
+    noise = NoiseConfig(n_r=500, thresholds=(2e-3, 1e-2, 5e-2), mc_runs=2, inner_runs=2, seed=4)
+    ga = GAConfig(n_p=30, p_e=0.1, k=3, p_c=0.7, p_m=0.1, n_g=9, seed=7, metric=Metric.KOLMOGOROV)
+    assert all(getattr(ga, f.name) != f.default for f in fields(GAConfig) if f.name != "threshold")
+    configs = []
+    real_run_ga, real_record = measurement.run_ga, measurement.record_searches
+
+    def run_ga(target, psi0, grid, config, **kwargs):
+        configs.append(config)
+        return real_run_ga(target, psi0, grid, config, **kwargs)
+
+    monkeypatch.setattr(measurement, "run_ga", run_ga)
+    monkeypatch.setattr(measurement, "record_searches", lambda m, cs: configs.extend(cs) or real_record(m, cs))
+    monte_carlo_sweep(truth, psi0, grid, ga, noise)
+    searches = noise.mc_runs * noise.inner_runs
+    assert len(configs) == searches * (1 + len(noise.thresholds))
+    for config in configs:
+        expected = replace(ga, threshold=config.threshold, seed=config.seed)
+        assert {f.name: getattr(config, f.name) for f in fields(GAConfig)} == {
+            f.name: getattr(expected, f.name) for f in fields(GAConfig)
+        }
+    assert {config.threshold for config in configs} == set(noise.thresholds)
 
 
 def bred_generations(records: list, floor: float) -> int:
